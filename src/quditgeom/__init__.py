@@ -25,7 +25,7 @@ from .curves import (
     t_space_boundary_qutrit,
 )
 from .errors import DimensionError, PositivityError
-from .linalg import jacobi_eigvalsh, real_roots
+from .linalg import real_roots
 from .models import (
     AngularMomentum,
     LMGParams,
@@ -123,6 +123,5 @@ __all__ = [
     "t_space_boundary_qutrit",
     "lambda_segment_images",
     "permutation_images",
-    "jacobi_eigvalsh",
     "real_roots",
 ]

@@ -527,8 +527,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--validate", action="store_true",
                         help="re-read the output and re-check all physical rows")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; no core path uses randomness")
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:

@@ -17,8 +17,8 @@ than dropped, so the dotted unphysical branches of the loci can be
 exported alongside the physical ones.  Nodes where the radius equation
 has no admissible root get NaN coordinates and a False flag.
 
-All functions are pure; per-node root solving has no shared state and a
-fixed node order.
+All functions are pure.  The ququart surfaces solve the radius
+polynomials of every mesh node in one batched root-finder call.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import simplex_frame
 from .config import DEFAULT
 from .errors import DimensionError
-from .linalg import real_roots
+from .linalg import real_roots, real_roots_batch
 from .representations import invariants
 
 __all__ = [
@@ -231,13 +230,12 @@ def constant_t2_locus(n: int, t2: float, samples: int = 512, *,
     )
 
 
-def _smallest_admissible_root(coeffs, upper: float) -> float:
-    """Smallest real root in [0, upper], or NaN when none exists."""
+def _smallest_admissible_root(roots: np.ndarray, upper: float) -> np.ndarray:
+    """Per row of NaN-padded ``roots``, the smallest in [0, upper], or NaN."""
     slack = 1e-10
-    for root in real_roots(coeffs):
-        if -slack <= root <= upper + slack:
-            return float(min(max(root, 0.0), upper))
-    return math.nan
+    admissible = np.where((roots >= -slack) & (roots <= upper + slack), roots, np.nan)
+    smallest = np.fmin.reduce(admissible, axis=-1, initial=np.nan)
+    return np.minimum(np.maximum(smallest, 0.0), upper)
 
 
 def qutrit_t3_radius(t3: float, alpha: float) -> float:
@@ -251,7 +249,7 @@ def qutrit_t3_radius(t3: float, alpha: float) -> float:
     if not (1.0 / 9.0 - DEFAULT.simplex <= t3 <= 1.0 + DEFAULT.simplex):
         raise ValueError(f"t3 must lie in [1/9, 1], got {t3!r}")
     coeffs = (1.0 / 9.0 - t3, 0.0, 1.0, math.cos(3.0 * alpha) / math.sqrt(6.0))
-    return _smallest_admissible_root(coeffs, QUTRIT_RADIUS_MAX)
+    return float(_smallest_admissible_root(real_roots(coeffs), QUTRIT_RADIUS_MAX))
 
 
 def constant_t3_locus_qutrit(t3: float, alpha_samples: int = 512) -> ParamCurve:
@@ -322,16 +320,13 @@ def constant_invariant_surface_ququart(which: str, value: float, *,
     theta = np.linspace(0.0, math.pi, theta_samples)
     phi = np.linspace(0.0, 2.0 * math.pi, phi_samples, endpoint=False)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    a3, b4 = _ququart_angular_coefficients(tt, pp)
-    radius = np.empty(tt.shape)
-    for i in range(theta_samples):
-        for k in range(phi_samples):
-            if which == "t3":
-                coeffs = (1.0 / 16.0 - value, 0.0, 3.0 / 8.0, a3[i, k] / 96.0)
-            else:
-                coeffs = (1.0 / 64.0 - value, 0.0, 3.0 / 16.0, a3[i, k] / 96.0,
-                          b4[i, k] / 384.0)
-            radius[i, k] = _smallest_admissible_root(coeffs, QUQUART_RADIUS_MAX)
+    a3, b4 = _ququart_angular_coefficients(tt.ravel(), pp.ravel())
+    if which == "t3":
+        columns = (1.0 / 16.0 - value, 0.0, 3.0 / 8.0, a3 / 96.0)
+    else:
+        columns = (1.0 / 64.0 - value, 0.0, 3.0 / 16.0, a3 / 96.0, b4 / 384.0)
+    coeffs = np.column_stack(np.broadcast_arrays(*columns))
+    radius = _smallest_admissible_root(real_roots_batch(coeffs), QUQUART_RADIUS_MAX).reshape(tt.shape)
     direction = (
         np.multiply.outer(np.cos(pp) * np.sin(tt), frame.axes[0])
         + np.multiply.outer(np.sin(pp) * np.sin(tt), frame.axes[1])
@@ -369,20 +364,15 @@ def t_space_boundary_qutrit(t2_samples: int = 512) -> tuple:
     Two arcs come from states with two equal eigenvalues,
     ``t3 = t2 - 2/9 +- (3 t2 - 1)^(3/2) / (9 sqrt(2))`` (upper on
     t2 in [1/3, 1], lower on [1/3, 1/2]); the third from one-zero-
-    eigenvalue states, ``t3 = (3 t2 - 1)/2``, whose left endpoint is
-    found numerically as its intersection with the lower arc.  The arcs
-    close up at the three t-space vertices.
+    eigenvalue states, ``t3 = (3 t2 - 1)/2`` on t2 in [1/2, 1].  Its left
+    endpoint t2 = 1/2 is the state (1/2, 1/2, 0), where it meets the lower
+    arc at t3 = 1/4.  The arcs close up at the three t-space vertices.
     """
     if t2_samples < 2:
         raise ValueError("need at least 2 samples per arc")
     upper_t2 = np.linspace(1.0 / 3.0, 1.0, t2_samples)
     lower_t2 = np.linspace(1.0 / 3.0, 0.5, t2_samples)
-    left = brentq(
-        lambda t2: _two_equal_lower(t2) - _zero_eigenvalue_line(t2),
-        1.0 / 3.0 + 1e-12,
-        1.0,
-        xtol=1e-15,
-    )
+    left = 0.5
     zero_t2 = np.linspace(left, 1.0, t2_samples)
     pieces = []
     for name, grid, fn in (

@@ -1,205 +1,78 @@
-"""Small dense numerical kernels: a cyclic Jacobi eigensolver and
-closed-form real-root finders for polynomials up to degree four.
-
-Both are deliberately dependency-light and deterministic: the Jacobi
-sweep order is fixed (upper triangle, row-major), and the root finders
-use closed forms followed by two Newton polish steps, so repeated runs
-give bit-identical results on one platform.  Sizes here never exceed
-n = 9, where these simple kernels are accurate and fast.
-"""
-
-from __future__ import annotations
-
-import math
+"""Batched real roots of polynomials up to degree four: companion-matrix
+eigenvalues (Edelman & Murakami, Math. Comp. 64, 1995), one ``np.linalg.eigvals``
+call per effective degree, then a guarded Newton polish and a residual check."""
 
 import numpy as np
 
-__all__ = ["jacobi_eigvalsh", "real_roots"]
+__all__ = ["real_roots", "real_roots_batch"]
+
+_DEGREE_RTOL = 1e-14     # top coefficients below this share of the largest are dropped
+_IMAG_RTOL = 1e-5        # wide enough for a double root split into a complex pair
+_RESIDUAL_RTOL = 1e-12
 
 
-def jacobi_eigvalsh(matrix, *, tol: float = 1e-14, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each rotation removes one off-diagonal element: the element's phase is
-    absorbed first, then a real 2x2 rotation annihilates it.  Sweeps run
-    over the upper triangle in row-major order until the off-diagonal
-    Frobenius norm falls below ``tol`` relative to the largest entry.
-
-    Returns the eigenvalues sorted ascending.
-    """
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.abs(np.triu(a, 1)) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = complex(a[p, q])
-                g = abs(apq)
-                if g == 0.0:
-                    continue
-                phase = apq / g
-                phase_c = phase.conjugate()
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * g)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: new_p = c*col_p - s*conj(phase)*col_q,
-                #          new_q = s*col_p + c*conj(phase)*col_q
-                for k in range(n):
-                    akp = complex(a[k, p])
-                    akq = complex(a[k, q])
-                    a[k, p] = c * akp - s * phase_c * akq
-                    a[k, q] = s * akp + c * phase_c * akq
-                # rows: new_p = c*row_p - s*phase*row_q,
-                #       new_q = s*row_p + c*phase*row_q
-                for k in range(n):
-                    apk = complex(a[p, k])
-                    aqk = complex(a[q, k])
-                    a[p, k] = c * apk - s * phase * aqk
-                    a[q, k] = s * apk + c * phase * aqk
-    return np.sort(np.diagonal(a).real.copy())
+def _values(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` (N, k) in powers 0..d times ``weights`` (N, d+1, m): (N, k, m)."""
+    return x[..., None] ** np.arange(weights.shape[1]) @ weights
 
 
-def _polish(coeffs: np.ndarray, x: float, steps: int = 2) -> float:
-    """Newton-polish a root of the polynomial with ascending ``coeffs``."""
-    deriv = coeffs[1:] * np.arange(1, len(coeffs))
-    for _ in range(steps):
-        f = float(np.polynomial.polynomial.polyval(x, coeffs))
-        fp = float(np.polynomial.polynomial.polyval(x, deriv))
-        if fp == 0.0 or not math.isfinite(fp):
-            break
-        step = f / fp
-        if not math.isfinite(step):
-            break
-        x -= step
-    return x
+def _polish(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton steps kept only where they lower |p|, since at a double root a
+    full step can land far away; NaN where |p(x)| stays large."""
+    weights = np.zeros(coeffs.shape + (2,))
+    weights[..., 0] = coeffs
+    weights[:, :-1, 1] = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    with np.errstate(all="ignore"):
+        values = _values(weights, x)
+        for _ in range(2):
+            trial = x - values[..., 0] / values[..., 1]
+            trial_values = _values(weights, trial)
+            better = np.abs(trial_values[..., 0]) < np.abs(values[..., 0])
+            x = np.where(better, trial, x)
+            values = np.where(better[..., None], trial_values, values)
+        bound = _values(np.abs(weights[..., :1]), np.abs(x))[..., 0]
+    return np.where(np.abs(values[..., 0]) <= _RESIDUAL_RTOL * bound, x, np.nan)
 
 
-def _roots_quadratic(c0: float, c1: float, c2: float) -> list:
-    disc = c1 * c1 - 4.0 * c2 * c0
-    scale = max(abs(c0), abs(c1), abs(c2), 1.0)
-    if disc < -1e-14 * scale * scale:
-        return []
-    disc = max(disc, 0.0)
-    sq = math.sqrt(disc)
-    if c1 >= 0.0:
-        qq = -(c1 + sq) / 2.0
-    else:
-        qq = -(c1 - sq) / 2.0
-    roots = []
-    roots.append(qq / c2)
-    if qq != 0.0:
-        roots.append(c0 / qq)
-    else:
-        roots.append(-c1 / c2 - roots[0])
-    return roots
-
-
-def _roots_cubic(c0: float, c1: float, c2: float, c3: float) -> list:
-    b = c2 / c3
-    c = c1 / c3
-    d = c0 / c3
-    # depressed cubic y^3 + p y + q, x = y - b/3
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    eps = 1e-14 * max(1.0, abs(p), abs(q))
-    if abs(p) <= eps and abs(q) <= eps:
-        return [shift, shift, shift]
-    disc = -4.0 * p**3 - 27.0 * q * q
-    if disc >= 0.0 and p < 0.0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        return [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
-    rad = q * q / 4.0 + p**3 / 27.0
-    rad = max(rad, 0.0)
-    sq = math.sqrt(rad)
-    u = np.cbrt(-q / 2.0 + sq)
-    v = np.cbrt(-q / 2.0 - sq)
-    return [float(u + v) + shift]
-
-
-def _roots_quartic(c0: float, c1: float, c2: float, c3: float, c4: float) -> list:
-    b = c3 / c4
-    c = c2 / c4
-    d = c1 / c4
-    e = c0 / c4
-    # depressed quartic y^4 + p y^2 + q y + r, x = y - b/4
-    p = c - 3.0 * b * b / 8.0
-    q = d - b * c / 2.0 + b**3 / 8.0
-    r = e - b * d / 4.0 + b * b * c / 16.0 - 3.0 * b**4 / 256.0
-    shift = -b / 4.0
-    eps = 1e-13 * max(1.0, abs(p), abs(q), abs(r))
-    if abs(q) <= eps:
-        roots = []
-        for z in _roots_quadratic(r, p, 1.0):
-            if z >= -eps:
-                sz = math.sqrt(max(z, 0.0))
-                roots.extend([sz + shift, -sz + shift])
-        return roots
-    # resolvent cubic m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0 has a root m > 0
-    resolvent = _roots_cubic(-q * q / 8.0, p * p / 4.0 - r, p, 1.0)
-    m = max(z for z in resolvent if z > 0.0)
-    s = math.sqrt(2.0 * m)
-    half = p / 2.0 + m
-    roots = []
-    for quad in ((half - q / (2.0 * s), s), (half + q / (2.0 * s), -s)):
-        for y in _roots_quadratic(quad[0], quad[1], 1.0):
-            roots.append(y + shift)
+def real_roots_batch(coeffs) -> np.ndarray:
+    """Real roots of each row of ascending ``coeffs`` (N, d+1), d <= 4, as (N, d)
+    rows sorted ascending and padded with NaN.  Top coefficients at most 1e-14
+    of a row's largest in magnitude are dropped."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 2 or not 1 <= coeffs.shape[1] <= 5:
+        raise ValueError(f"expected coefficient rows of shape (N, d+1) with d <= 4, got {coeffs.shape}")
+    magnitude = np.abs(coeffs)
+    scale = magnitude.max(axis=1, keepdims=True)
+    if not scale.all():
+        raise ValueError("zero polynomial has no isolated roots")
+    width = coeffs.shape[1]
+    degree = width - 1 - (magnitude[:, ::-1] > _DEGREE_RTOL * scale).argmax(axis=1)
+    roots = np.full((coeffs.shape[0], width - 1), np.nan)
+    for d in set(degree.tolist()) - {0}:
+        rows = degree == d
+        c = coeffs[rows, : d + 1]
+        companion = np.eye(d, k=-1) - (c[:, :d, None] / c[:, d:, None]) * np.eye(d)[-1]
+        z = np.linalg.eigvals(companion)
+        candidates = np.where(np.abs(z.imag) <= _IMAG_RTOL * np.abs(z), z.real, np.nan)
+        roots[rows, :d] = _polish(c, candidates)
+    roots.sort(axis=1)
     return roots
 
 
 def real_roots(coeffs) -> np.ndarray:
     """All real roots of a polynomial of degree <= 4, sorted ascending.
 
-    ``coeffs`` are ascending (constant term first).  A leading coefficient
-    negligible relative to the largest one reduces the effective degree,
-    which keeps near-degenerate cubics and quartics well behaved.  Each
-    closed-form root receives two Newton polish steps.
+    ``coeffs`` are ascending (constant term first); this is a one-row call
+    of :func:`real_roots_batch`.  The contract:
+
+    * every returned x has ``|p(x)| <= 1e-12 * sum_i |c_i| |x|^i``;
+    * a real root r with ``|r - s| >= 1e-2 * max(|r|, |s|)`` for every other
+      distinct root s, complex ones included, is returned: to ``1e-9 * |r|``
+      if simple, and possibly twice, to 1e-6 of the largest root modulus, if
+      an exact double root.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("coefficients must be a non-empty 1-D sequence")
-    if coeffs.size > 5:
-        raise ValueError("only degrees up to 4 are supported")
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        raise ValueError("zero polynomial has no isolated roots")
-    degree = coeffs.size - 1
-    while degree > 0 and abs(coeffs[degree]) <= 1e-14 * scale:
-        degree -= 1
-    work = coeffs[: degree + 1]
-    if degree == 0:
-        return np.array([])
-    # deflate exact zero roots; the closed forms are fragile at x = 0 multiples
-    zero_roots = []
-    while work.size > 1 and abs(work[0]) <= 1e-15 * scale:
-        zero_roots.append(0.0)
-        work = work[1:]
-    degree = work.size - 1
-    if degree == 0:
-        return np.array(zero_roots)
-    if degree == 1:
-        roots = [-work[0] / work[1]]
-    elif degree == 2:
-        roots = _roots_quadratic(*work)
-    elif degree == 3:
-        roots = _roots_cubic(*work)
-    else:
-        roots = _roots_quartic(*work)
-    polished = [_polish(work, float(x)) for x in roots]
-    return np.sort(np.array(zero_roots + polished))
+    if coeffs.ndim != 1 or not 1 <= coeffs.size <= 5:
+        raise ValueError("coefficients must be a 1-D sequence of 1 to 5 values (degree <= 4)")
+    roots = real_roots_batch(coeffs[None])[0]
+    return roots[~np.isnan(roots)]

@@ -9,7 +9,7 @@ Two Hamiltonian families are covered for a collective spin J:
   dimensionless couplings, commonly summarized by ``g_pm = g_x +- g_y``.
 
 For J = 1 and J = 3/2 the LMG eigenvalues have closed forms (implemented
-here and cross-checked against the Jacobi eigensolver); level crossings
+here and cross-checked against ``np.linalg.eigvalsh``); level crossings
 as the couplings vary split the ``(g_minus, g_plus)`` plane into three
 regions with fixed energy ordering, separated by the curves where the
 ground pair (or the top pair) becomes degenerate.
@@ -28,7 +28,6 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import DimensionError
-from .linalg import jacobi_eigvalsh
 from .representations import invariants, p_to_lambda
 from .thermal import Spectrum, gibbs_state
 
@@ -192,7 +191,7 @@ def lmg_spectrum(j, params: LMGParams, *, method: str = "auto") -> Spectrum:
 
     The analytic branch sorts the closed-form levels ascending, breaking
     ties by label order, and records the labels; the numeric branch
-    diagonalizes the Hamiltonian with the cyclic Jacobi kernel.
+    diagonalizes the Hamiltonian with ``np.linalg.eigvalsh``.
     """
     j = _check_spin(j)
     if method not in ("auto", "analytic", "numeric"):
@@ -206,7 +205,7 @@ def lmg_spectrum(j, params: LMGParams, *, method: str = "auto") -> Spectrum:
             energies=energies[order],
             labels=tuple(f"E{i + 1}" for i in order),
         )
-    return Spectrum(energies=jacobi_eigvalsh(lmg_hamiltonian(j, params)))
+    return Spectrum(energies=np.linalg.eigvalsh(lmg_hamiltonian(j, params)))
 
 
 def separatrix(j, branch: str, g_minus):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import bloch_bound, simplex_frame
+from .basis import simplex_frame
 from .config import DEFAULT
 from .errors import DimensionError, PositivityError
 
@@ -300,9 +300,3 @@ def orbit_classification(p, tol: float | None = None) -> DegeneracyPattern:
     dim = int(n * n - sum(m * m for m in multiplicities))
     return DegeneracyPattern(multiplicities=tuple(multiplicities), orbit_dimension=dim)
 
-
-def bloch_norm_ok(lam, tol: float | None = None) -> bool:
-    """Whether the diagonal Bloch vector respects the pure-state norm bound."""
-    tol = DEFAULT.simplex if tol is None else tol
-    lam = np.asarray(lam, dtype=float)
-    return bool(np.linalg.norm(lam, axis=-1).max() <= bloch_bound(lam.shape[-1] + 1) + tol)

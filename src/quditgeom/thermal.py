@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .config import DEFAULT
 from .representations import invariants, p_to_lambda
@@ -137,7 +136,7 @@ def gibbs_state(spectrum: Spectrum, beta: float) -> ThermalState:
     z = float(weights.sum())
     p = weights / z
     u = float(p @ h)
-    s = float(-xlogy(p, p).sum())
+    s = float(-(p * np.log(p, where=p > 0.0, out=np.zeros_like(p))).sum())
     f = u - s / beta if beta > 0 else -math.inf
     return ThermalState(beta=beta, p=p, Z=z, energy_shift=float(h[0]), U=u, S=s, F=f)
 

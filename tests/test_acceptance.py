@@ -18,7 +18,6 @@ from quditgeom import (
     endpoint_state,
     gibbs_state,
     invariants,
-    jacobi_eigvalsh,
     lambda_to_p,
     linear_spectrum,
     lmg_hamiltonian,
@@ -101,21 +100,21 @@ def test_c05_lmg_oracle_equivalence():
     couplings = rng.uniform(-6, 6, size=(500, 2))
     # warm-up one diagonalization per size
     for j in (1, 1.5):
-        jacobi_eigvalsh(lmg_hamiltonian(j, LMGParams(1.0, 1.0, -1.0)))
+        np.linalg.eigvalsh(lmg_hamiltonian(j, LMGParams(1.0, 1.0, -1.0)))
     start = time.perf_counter()
     worst = 0.0
     for j in (1, 1.5):
         for gx, gy in couplings:
             params = LMGParams(omega=1.0, g_x=gx, g_y=gy)
             analytic = lmg_spectrum(j, params, method="analytic").energies
-            numeric = jacobi_eigvalsh(lmg_hamiltonian(j, params))
+            numeric = np.linalg.eigvalsh(lmg_hamiltonian(j, params))
             tol = 1e-10 * max(1.0, abs(gx), abs(gy))
             deviation = np.abs(analytic - numeric).max()
             worst = max(worst, deviation / tol)
             assert deviation < tol
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    _report(5, f"closed forms vs Jacobi, 1000 runs in {elapsed:.2f} s, worst {worst:.2f} of tol")
+    _report(5, f"closed forms vs eigvalsh, 1000 runs in {elapsed:.2f} s, worst {worst:.2f} of tol")
 
 
 def test_c06_separatrix_degeneracy():

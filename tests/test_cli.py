@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quditgeom
 from quditgeom.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -176,6 +180,10 @@ class TestLocusCommand:
         header, rows = read_csv(out)
         assert header[:3] == ["theta", "phi", "r"]
         assert len(rows) == 63
+
+    def test_ququart_t4_default_mesh_validates(self, tmp_path):
+        out = tmp_path / "surface.csv"
+        assert main(["locus", "--n", "4", "--t4", "0.039321", "--out", str(out), "--validate"]) == EXIT_OK
 
     def test_exactly_one_invariant_required(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -350,3 +358,10 @@ def test_golden_first_row_locus_t2(tmp_path):
     assert main(["locus", "--n", "3", "--t2", "0.5", "--samples", "8", "--out", str(out)]) == EXIT_OK
     _, rows = read_csv(out)
     assert ",".join(rows[0]) == GOLDEN_T2_FIRST_ROW
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(quditgeom.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, quditgeom, quditgeom.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -171,6 +171,12 @@ class TestQuquartSurfaces:
         recomputed = invariants(mesh.points.reshape(-1, 4), validate=False)[:, ell - 2]
         assert np.abs(recomputed - value).max() < 1e-9
 
+    def test_t4_default_mesh_meets_target_where_roots_cluster(self):
+        # at t4 = 0.039321 a few nodes have two radius roots close together
+        mesh = constant_invariant_surface_ququart("t4", 0.039321)
+        t4 = (mesh.points[mesh.physical] ** 4).sum(axis=-1)
+        assert np.abs(t4 - 0.039321).max() <= 1e-12
+
     @pytest.mark.parametrize("which,value", [("t3", 7 / 40), ("t4", 5 / 64)])
     def test_phi_symmetry(self, which, value):
         mesh = constant_invariant_surface_ququart(which, value, theta_samples=9, phi_samples=18)
@@ -196,7 +202,7 @@ class TestBoundary:
 
     def test_zero_eigenvalue_line_values(self):
         *_, zero = t_space_boundary_qutrit(64)
-        assert zero.meta["zero_eigenvalue_left_endpoint"] == pytest.approx(0.5, abs=1e-10)
+        assert zero.meta["zero_eigenvalue_left_endpoint"] == 0.5
         np.testing.assert_allclose(zero.points[0], [0.5, 0.25], atol=1e-10)
         np.testing.assert_allclose(zero.points[-1], [1.0, 1.0], atol=1e-14)
 

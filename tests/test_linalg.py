@@ -1,39 +1,8 @@
 import numpy as np
 import pytest
 
-from quditgeom import jacobi_eigvalsh, real_roots
-
-
-@pytest.mark.parametrize("n", range(2, 10))
-def test_jacobi_matches_numpy_on_random_hermitian(n):
-    rng = np.random.default_rng(40 + n)
-    for _ in range(25):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = (a + a.conj().T) / 2
-        np.testing.assert_allclose(
-            jacobi_eigvalsh(h), np.linalg.eigvalsh(h), atol=1e-12 * max(1, np.abs(h).max())
-        )
-
-
-def test_jacobi_real_symmetric_and_diagonal():
-    h = np.diag([3.0, -1.0, 2.0])
-    np.testing.assert_allclose(jacobi_eigvalsh(h), [-1.0, 2.0, 3.0], atol=0)
-    h = np.array([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(jacobi_eigvalsh(h), [1.0, 3.0], atol=1e-14)
-
-
-def test_jacobi_rejects_non_square():
-    with pytest.raises(ValueError):
-        jacobi_eigvalsh(np.zeros((2, 3)))
-
-
-def test_jacobi_is_deterministic():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    h = (a + a.conj().T) / 2
-    first = jacobi_eigvalsh(h)
-    second = jacobi_eigvalsh(h)
-    assert np.array_equal(first, second)
+from quditgeom import real_roots
+from quditgeom.linalg import real_roots_batch
 
 
 def _poly_from_roots(roots, leading=1.0):
@@ -90,3 +59,58 @@ def test_real_roots_rejects_bad_input():
         real_roots([0.0, 0.0])
     with pytest.raises(ValueError):
         real_roots([1.0] * 6)
+
+
+def _case_from_roots(rng):
+    """A polynomial of degree 1-4 with known roots, some double or complex."""
+    degree = int(rng.integers(1, 5))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    pairs = int(degree >= 2 and rng.random() < 0.3)
+    real = scale * rng.uniform(-1, 1, degree - 2 * pairs)
+    if real.size >= 2 and rng.random() < 0.3:
+        real[1] = real[0]
+    roots = real.astype(complex)
+    if pairs:
+        z = scale * complex(rng.uniform(-1, 1), rng.uniform(0.05, 1))
+        roots = np.append(roots, [z, z.conjugate()])
+    leading = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+    return (leading * np.poly(roots)).real[::-1], roots
+
+
+def test_real_roots_contract_on_constructed_polynomials():
+    """The documented contract of real_roots, checked through its batched kernel."""
+    rng = np.random.default_rng(2024)
+    cases = [_case_from_roots(rng) for _ in range(20_000)]
+    coeffs = np.array([np.pad(c, (0, 5 - c.size)) for c, _ in cases])
+    for (c, truth), found in zip(cases, real_roots_batch(coeffs)):
+        found = found[~np.isnan(found)]
+        weights = np.abs(c) * np.abs(found)[:, None] ** np.arange(c.size)
+        residual = np.abs(np.polynomial.polynomial.polyval(found, c))
+        assert np.all(residual <= 1e-12 * weights.sum(axis=1)), (c, found)
+        largest = np.abs(truth).max()
+        for i, r in enumerate(truth):
+            others = np.delete(truth, i)
+            distinct = others[others != r]
+            if r.imag != 0 or np.any(np.abs(distinct - r) < 1e-2 * np.maximum(abs(r), np.abs(distinct))):
+                continue
+            miss = np.abs(found - r.real).min(initial=np.inf)
+            if distinct.size < others.size:
+                assert miss <= 1e-6 * largest, (c, r, found)
+            else:
+                assert miss <= 1e-9 * abs(r), (c, r, found)
+
+
+def test_real_roots_batch_pads_rows_of_mixed_degree():
+    coeffs = np.array([
+        _poly_from_roots([-2.0, 0.5, 1.0, 3.0]),
+        np.append(_poly_from_roots([-1.0, 2.0]), [0.0, 0.0]),
+        [4.0, 0.0, 5.0, 0.0, 1.0],
+        [3.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    roots = real_roots_batch(coeffs)
+    assert roots.shape == (4, 4)
+    np.testing.assert_allclose(roots[0], [-2.0, 0.5, 1.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(roots[1, :2], [-1.0, 2.0], atol=1e-12)
+    assert np.isnan(roots[1:, 2:]).all() and np.isnan(roots[2:]).all()
+    for row, expected in zip(coeffs, roots):
+        np.testing.assert_array_equal(real_roots(row), expected[~np.isnan(expected)])
