@@ -136,7 +136,7 @@ def gibbs_state(spectrum: Spectrum, beta: float) -> ThermalState:
     z = float(weights.sum())
     p = weights / z
     u = float(p @ h)
-    s = float(-(p * np.log(p, where=p > 0.0, out=np.zeros_like(p))).sum())
+    s = -sum(x * math.log(x) for x in p.tolist() if x > 0.0)
     f = u - s / beta if beta > 0 else -math.inf
     return ThermalState(beta=beta, p=p, Z=z, energy_shift=float(h[0]), U=u, S=s, F=f)
 
