@@ -29,6 +29,7 @@ from .linalg import real_roots
 from .models import (
     AngularMomentum,
     LMGParams,
+    PhaseGrid,
     PhasePoint,
     PhaseRegion,
     angular_momentum,
@@ -38,6 +39,7 @@ from .models import (
     linear_spectrum,
     lmg_hamiltonian,
     lmg_spectrum,
+    phase_grid,
     phase_sweep,
     separatrix,
 )
@@ -103,6 +105,7 @@ __all__ = [
     "LMGParams",
     "PhaseRegion",
     "PhasePoint",
+    "PhaseGrid",
     "angular_momentum",
     "linear_spectrum",
     "direction_hamiltonian",
@@ -111,6 +114,7 @@ __all__ = [
     "lmg_spectrum",
     "separatrix",
     "classify_region",
+    "phase_grid",
     "phase_sweep",
     "ParamCurve",
     "SurfaceMesh",

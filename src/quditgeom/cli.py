@@ -13,7 +13,11 @@ flower          permutation images of a thermal trajectory
 Every run writes one data file (CSV or JSON, fixed column order, shortest
 round-trip float formatting) plus a JSON sidecar ``<out>.meta.json``
 echoing the configuration, the column schema, node counts and any notes
-about closed forms that disagree with the invariant map.  Exit codes:
+about closed forms that disagree with the invariant map.  Each dataset is
+built as named numpy columns and written column by column in bounded
+chunks of rows.  Both files are written atomically: into temporary files
+in the destination directory, moved into place with ``os.replace`` only
+once both are complete, so a failed run leaves neither behind.  Exit codes:
 0 success, 2 configuration error, 3 I/O error, 4 numerical failure with
 zero successful nodes (also used when --validate finds a violation).
 """
@@ -22,9 +26,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
+import io
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -35,6 +40,7 @@ from . import __version__
 from .basis import simplex_frame
 from .curves import (
     ParamCurve,
+    SurfaceMesh,
     constant_invariant_surface_ququart,
     constant_t2_locus,
     constant_t3_locus_qutrit,
@@ -43,7 +49,7 @@ from .curves import (
     t_space_boundary_qutrit,
 )
 from .errors import DimensionError, PositivityError
-from .models import LMGParams, linear_spectrum, lmg_spectrum, phase_sweep
+from .models import LMGParams, linear_spectrum, lmg_spectrum, phase_grid
 from .representations import check_probability_vector, invariants, p_to_lambda
 from .thermal import trajectory
 
@@ -59,48 +65,25 @@ class ConfigError(ValueError):
 
 @dataclass
 class Dataset:
-    """Rows plus schema and bookkeeping for one export."""
+    """Named columns of one export, plus bookkeeping.
 
-    columns: list
-    rows: list
+    ``columns`` maps each output column name, in output order, to a 1-D
+    numpy array; all arrays have one entry per row.  Float columns are
+    written as shortest round-trip decimals, integer and boolean columns
+    as integers and string columns as text.
+    """
+
+    columns: dict
     notes: list = field(default_factory=list)
     failed_nodes: int = 0
 
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
     @property
     def physical_count(self) -> int:
-        if "physical" not in self.columns:
-            return len(self.rows)
-        idx = self.columns.index("physical")
-        return sum(1 for row in self.rows if row[idx] == 1)
-
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal; -0.0 normalized, NaN spelled 'nan'."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if x == 0.0:
-            x = 0.0
-        return repr(x)
-    return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return 1 if value else 0
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            return None
-        if x == 0.0:
-            x = 0.0
-        return x
-    return str(value)
+        physical = self.columns.get("physical")
+        return len(self) if physical is None else int(np.count_nonzero(physical == 1))
 
 
 def _parse_spin(text: str) -> float:
@@ -180,16 +163,6 @@ def _t_names(n: int) -> list:
     return [f"t{ell}" for ell in range(2, n + 1)]
 
 
-def _state_columns(n: int) -> list:
-    return _p_names(n) + _lambda_names(n) + _t_names(n)
-
-
-def _state_values(p_row: np.ndarray) -> list:
-    lam = p_to_lambda(p_row, validate=False)
-    t = invariants(p_row, validate=False)
-    return [*p_row, *lam, *t]
-
-
 def _spectrum_from_args(args):
     if args.model == "linear":
         return linear_spectrum(args.spin, args.omega)
@@ -220,26 +193,54 @@ def _lmg_params_from_args(args) -> LMGParams:
 # dataset builders
 
 
+def _node_table(lead: dict, p, *, lam=None, t=None, physical=None, notes=()) -> Dataset:
+    """A dataset of ``lead`` columns, then p, lambda, t and physical.
+
+    ``p`` holds one state per row.  lambda and t are derived from the whole
+    block at once unless given.  Rows whose p is not all finite are masked
+    nodes: their state columns are NaN, their physical flag is 0 and they
+    count as failed.  ``physical`` defaults to 1 on every unmasked row.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.shape[1]
+    masked = ~np.isfinite(p).all(axis=1)
+    if masked.any():
+        p = np.where(masked[:, None], np.nan, p)
+    lam = p_to_lambda(p, validate=False) if lam is None else lam
+    t = invariants(p, validate=False) if t is None else t
+    flags = np.ones(len(p), dtype=np.int64) if physical is None else physical.astype(np.int64)
+    flags[masked] = 0
+    columns = dict(lead)
+    columns.update(zip(_p_names(n), p.T))
+    columns.update(zip(_lambda_names(n), lam.T))
+    columns.update(zip(_t_names(n), t.T))
+    columns["physical"] = flags
+    return Dataset(columns=columns, notes=list(notes), failed_nodes=int(masked.sum()))
+
+
 def _build_frame(args) -> Dataset:
     frame = simplex_frame(args.n)
-    columns = ["kind", "index"] + [f"c{i}" for i in range(1, args.n + 1)]
-    rows = [["center", 0, *frame.center]]
-    for ell, axis in enumerate(frame.axes, start=1):
-        rows.append(["axis", ell, *axis])
-    return Dataset(columns=columns, rows=rows)
+    kind = np.array(["center"] + ["axis"] * len(frame.axes))
+    coords = np.vstack([frame.center, frame.axes])
+    columns = {"kind": kind, "index": np.arange(len(kind))}
+    columns.update((f"c{i}", col) for i, col in enumerate(coords.T, start=1))
+    return Dataset(columns=columns)
 
 
 def _barycentric_grid(n: int, divisions: int) -> np.ndarray:
-    points = []
-    for cut in itertools.combinations(range(divisions + n - 1), n - 1):
-        prev = -1
-        parts = []
-        for c in cut:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(divisions + n - 2 - prev)
-        points.append(parts)
-    return np.array(points, dtype=float) / divisions
+    """All points of the simplex with coordinates in multiples of 1/divisions.
+
+    Rows run in ascending lexicographic order of their coordinates.
+    """
+    parts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([divisions])
+    for _ in range(n - 1):
+        counts = left + 1
+        rows = np.repeat(np.arange(left.size), counts)
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts = np.column_stack([parts[rows], value])
+        left = left[rows] - value
+    return np.column_stack([parts, left]) / divisions
 
 
 def _build_map(args) -> Dataset:
@@ -263,21 +264,13 @@ def _build_map(args) -> Dataset:
         if args.grid < 1:
             raise ConfigError("--grid must be >= 1")
         grid = _barycentric_grid(n, args.grid)
-    columns = _state_columns(n) + ["physical"]
-    rows = [[*_state_values(p), 1] for p in grid]
-    return Dataset(columns=columns, rows=rows)
+    return _node_table({}, grid)
 
 
 def _build_thermal(args) -> Dataset:
     spectrum = _spectrum_from_args(args)
     traj = trajectory(spectrum, _parse_beta_grid(args.beta_grid))
-    n = spectrum.n
-    columns = ["beta"] + _state_columns(n) + ["physical"]
-    rows = [
-        [beta, *traj.p[i], *traj.lam[i], *traj.t[i], 1]
-        for i, beta in enumerate(traj.beta)
-    ]
-    return Dataset(columns=columns, rows=rows)
+    return _node_table({"beta": traj.beta}, traj.p, lam=traj.lam, t=traj.t)
 
 
 def _build_phase_diagram(args) -> Dataset:
@@ -288,33 +281,11 @@ def _build_phase_diagram(args) -> Dataset:
     beta = args.beta
     if beta is None or beta < 0 or not math.isfinite(beta):
         raise ConfigError("phase-diagram needs a finite --beta >= 0")
-    n = int(round(2 * args.spin)) + 1
-    columns = ["gminus", "gplus", "region"] + _state_columns(n) + ["physical"]
-    points = phase_sweep(
+    grid = phase_grid(
         args.spin, g_first, g_second, beta=beta, omega=args.omega, coords=args.coords
     )
-    rows = [
-        [point.params.g_minus, point.params.g_plus, point.region.region_id,
-         *point.p, *point.lam, *point.t, 1]
-        for point in points
-    ]
-    return Dataset(columns=columns, rows=rows)
-
-
-def _curve_rows(curve, n: int) -> tuple:
-    rows = []
-    failed = 0
-    for i in range(curve.parameter.size):
-        p = curve.points[i]
-        radius = curve.radius[i] if curve.radius is not None else math.nan
-        if not np.all(np.isfinite(p)):
-            failed += 1
-            rows.append([curve.parameter[i], radius,
-                         *([math.nan] * (3 * n - 2)), 0])
-            continue
-        rows.append([curve.parameter[i], radius, *_state_values(p),
-                     1 if curve.physical[i] else 0])
-    return rows, failed
+    lead = {"gminus": grid.g_minus, "gplus": grid.g_plus, "region": grid.region}
+    return _node_table(lead, grid.p, lam=grid.lam, t=grid.t)
 
 
 def _build_locus(args) -> Dataset:
@@ -350,52 +321,46 @@ def _build_locus(args) -> Dataset:
             raise
         raise ConfigError(str(exc)) from exc
 
-    if hasattr(locus, "parameter"):
-        columns = ["alpha", "r"] + _state_columns(n) + ["physical"]
-        rows, failed = _curve_rows(locus, n)
-        return Dataset(columns=columns, rows=rows, failed_nodes=failed)
-    columns = ["theta", "phi", "r"] + _state_columns(n) + ["physical"]
-    rows = []
-    failed = 0
-    mu, mv = locus.u.shape
-    for i in range(mu):
-        for k in range(mv):
-            p = locus.points[i, k]
-            radius = locus.radius[i, k] if locus.radius is not None else math.nan
-            if not np.all(np.isfinite(p)):
-                failed += 1
-                rows.append([locus.u[i, k], locus.v[i, k], radius,
-                             *([math.nan] * (3 * n - 2)), 0])
-                continue
-            rows.append([locus.u[i, k], locus.v[i, k], radius, *_state_values(p),
-                         1 if locus.physical[i, k] else 0])
-    return Dataset(columns=columns, rows=rows, failed_nodes=failed)
+    # a curve has one parameter per node, a surface mesh a (theta, phi) pair
+    if isinstance(locus, SurfaceMesh):
+        lead = {"theta": locus.u, "phi": locus.v}
+    else:
+        lead = {"alpha": locus.parameter}
+    shape = locus.physical.shape
+    lead["r"] = np.full(shape, math.nan) if locus.radius is None else locus.radius
+    return _node_table(
+        {name: col.ravel() for name, col in lead.items()},
+        locus.points.reshape(-1, n),
+        physical=locus.physical.ravel(),
+    )
 
 
 def _build_boundary(args) -> Dataset:
     if args.n != 3:
         raise ConfigError("the t-space boundary is exported for --n 3 only")
-    pieces = t_space_boundary_qutrit(t2_samples=args.samples)
-    segments = lambda_segment_images(samples=args.samples)
-    columns = ["piece", "param", "t2", "t3", "physical"]
-    rows = []
-    notes = []
-    for curve in (*pieces, *segments):
-        for i in range(curve.parameter.size):
-            rows.append([curve.label, curve.parameter[i],
-                         curve.points[i, 0], curve.points[i, 1], 1])
-        if curve.meta.get("matches_closed_form") is False:
-            notes.append(
-                f"{curve.label}: closed form {curve.meta['closed_form']} does not match "
-                f"the invariant map; emitted the verified curve"
-            )
-    return Dataset(columns=columns, rows=rows, notes=notes)
+    pieces = (*t_space_boundary_qutrit(t2_samples=args.samples),
+              *lambda_segment_images(samples=args.samples))
+    notes = [
+        f"{curve.label}: closed form {curve.meta['closed_form']} does not match "
+        f"the invariant map; emitted the verified curve"
+        for curve in pieces
+        if curve.meta.get("matches_closed_form") is False
+    ]
+    points = np.vstack([curve.points for curve in pieces])
+    columns = {
+        "piece": np.repeat([curve.label for curve in pieces],
+                           [curve.parameter.size for curve in pieces]),
+        "param": np.concatenate([curve.parameter for curve in pieces]),
+        "t2": points[:, 0],
+        "t3": points[:, 1],
+        "physical": np.ones(len(points), dtype=np.int64),
+    }
+    return Dataset(columns=columns, notes=notes)
 
 
 def _build_flower(args) -> Dataset:
     spectrum = _spectrum_from_args(args)
     traj = trajectory(spectrum, _parse_beta_grid(args.beta_grid))
-    n = spectrum.n
     base = ParamCurve(
         space="p",
         points=traj.p,
@@ -403,13 +368,13 @@ def _build_flower(args) -> Dataset:
         physical=np.ones(traj.beta.size, dtype=bool),
         label="thermal",
     )
-    columns = ["perm", "beta"] + _state_columns(n) + ["physical"]
-    rows = []
-    for copy in permutation_images(base):
-        perm_label = "".join(str(i + 1) for i in copy.meta["permutation"])
-        for i in range(copy.parameter.size):
-            rows.append([perm_label, copy.parameter[i], *_state_values(copy.points[i]), 1])
-    return Dataset(columns=columns, rows=rows)
+    copies = permutation_images(base)
+    labels = ["".join(str(i + 1) for i in copy.meta["permutation"]) for copy in copies]
+    lead = {
+        "perm": np.repeat(labels, traj.beta.size),
+        "beta": np.tile(traj.beta, len(copies)),
+    }
+    return _node_table(lead, np.vstack([copy.points for copy in copies]))
 
 
 _BUILDERS = {
@@ -426,95 +391,189 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 # output
 
-
-def _write_csv(path: str, dataset: Dataset) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(dataset.columns)
-        for row in dataset.rows:
-            writer.writerow([_fmt(x) for x in row])
+#: rows formatted and written at a time, so the text of the whole file is
+#: never held in memory
+_CHUNK_ROWS = 4096
+_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_json(path: str, dataset: Dataset) -> None:
-    payload = {
-        "columns": dataset.columns,
-        "rows": [
-            {col: _json_value(val) for col, val in zip(dataset.columns, row)}
-            for row in dataset.rows
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
 
 
-def _write_sidecar(path: str, args, dataset: Dataset) -> None:
+def _cells(column: np.ndarray, *, for_json: bool) -> list:
+    """The cells of one column as text, each as ``csv.writer`` writes its
+    ``repr`` or as ``json.dumps`` writes it: -0.0 becomes 0.0 and NaN
+    becomes ``nan`` or ``null``."""
+    kind = column.dtype.kind
+    if kind == "f":
+        # repr each distinct value once: state columns repeat values often
+        values, inverse = np.unique(column + 0.0, return_inverse=True)
+        cells = list(map(repr, values.tolist()))
+        if for_json and not np.isfinite(values).all():
+            cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
+        return np.array(cells, dtype=object)[inverse].tolist()
+    if kind in "biu":
+        return list(map(repr, column.astype(np.int64).tolist()))
+    texts = column.astype(str).tolist()
+    quote = json.dumps if for_json else _csv_field
+    quoted = {text: quote(text) for text in set(texts)}
+    return [quoted[text] for text in texts]
+
+
+def _chunks(dataset: Dataset, *, for_json: bool):
+    """Rows of formatted cells, as one list of row tuples per chunk."""
+    columns = list(dataset.columns.values())
+    for start in range(0, len(dataset), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        yield list(zip(*(_cells(col[start:stop], for_json=for_json) for col in columns)))
+
+
+def _write_csv(handle, dataset: Dataset) -> None:
+    """The bytes of ``csv.writer(lineterminator="\\n")`` over the header and
+    the rows, written one chunk of rows at a time."""
+    handle.write(",".join(map(_csv_field, dataset.columns)) + "\n")
+    for rows in _chunks(dataset, for_json=False):
+        handle.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def _write_json(handle, dataset: Dataset) -> None:
+    """The bytes of ``json.dump({"columns": [...], "rows": [{...}, ...]},
+    indent=1)`` and a final newline, written one chunk of rows at a time."""
+    keys = [json.dumps(name) for name in dataset.columns]
+    handle.write('{\n "columns": [\n' + ",\n".join(f"  {key}" for key in keys) + "\n ],\n")
+    if not len(dataset):
+        handle.write(' "rows": []\n}\n')
+        return
+    template = "  {\n" + ",\n".join(f"   {key.replace('%', '%%')}: %s" for key in keys) + "\n  }"
+    separator = ' "rows": [\n'
+    for rows in _chunks(dataset, for_json=True):
+        handle.write(separator + ",\n".join(template % row for row in rows))
+        separator = ",\n"
+    handle.write("\n ]\n}\n")
+
+
+def _sidecar(args, dataset: Dataset) -> dict:
     config = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("func",) and value is not None
     }
-    payload = {
+    return {
         "tool": "quditgeom",
         "version": __version__,
         "command": args.command,
         "config": config,
-        "columns": dataset.columns,
+        "columns": list(dataset.columns),
         "counts": {
-            "rows": len(dataset.rows),
+            "rows": len(dataset),
             "physical": dataset.physical_count,
             "failed_nodes": dataset.failed_nodes,
         },
         "discrepancies": dataset.notes,
     }
-    with open(path + ".meta.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
 
 
-def _read_rows(path: str, fmt: str):
+def _write_outputs(path: str, args, dataset: Dataset) -> None:
+    """Write the data file and its sidecar atomically.
+
+    Both go to temporary files in the destination directory first and are
+    moved into place with ``os.replace`` only once both are complete; on any
+    error the temporary files are removed and nothing appears at ``path``.
+    """
+    write_data = _write_csv if args.format == "csv" else _write_json
+    payload = _sidecar(args, dataset)
+    jobs = (
+        (path, lambda handle: write_data(handle, dataset)),
+        (path + ".meta.json", lambda handle: handle.write(json.dumps(payload, indent=1) + "\n")),
+    )
+    suffix = f".{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    written = []
+    try:
+        for target, write in jobs:
+            temp = target + suffix
+            with open(temp, "x", newline="", encoding="utf-8") as handle:
+                written.append(temp)
+                write(handle)
+        for (target, _), temp in zip(jobs, written):
+            os.replace(temp, target)
+    finally:
+        for temp in written:
+            if os.path.exists(temp):
+                os.remove(temp)
+
+
+def _read_columns(path: str, fmt: str) -> tuple:
+    """Column names and a list of cell values per column."""
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             columns = next(reader)
-            return columns, [row for row in reader]
+            rows = list(reader)
+        cells = list(zip(*rows)) if rows else [()] * len(columns)
+        return columns, dict(zip(columns, cells))
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     columns = payload["columns"]
-    rows = [[row.get(col) for col in columns] for row in payload["rows"]]
-    return columns, rows
+    return columns, {col: [row.get(col) for row in payload["rows"]] for col in columns}
+
+
+def _floats(values) -> tuple:
+    """Values as floats, and a mask of those that do not read as a number."""
+    values = list(values)
+    try:
+        if None not in values:
+            return np.array(values, dtype=float), np.zeros(len(values), dtype=bool)
+    except (TypeError, ValueError):
+        pass
+    out = np.full(len(values), math.nan)
+    unreadable = np.zeros(len(values), dtype=bool)
+    for i, value in enumerate(values):
+        try:
+            out[i] = float(value)
+        except (TypeError, ValueError):
+            unreadable[i] = True
+    return out, unreadable
 
 
 def _validate_output(path: str, fmt: str, args) -> list:
     """Re-read the emitted file and re-check all physical rows."""
-    columns, rows = _read_rows(path, fmt)
-    problems = []
-    p_cols = [i for i, c in enumerate(columns) if c.startswith("p") and c[1:].isdigit()]
+    columns, cells = _read_columns(path, fmt)
+    p_cols = [c for c in columns if c.startswith("p") and c[1:].isdigit()]
     if not p_cols or "physical" not in columns:
-        return problems
-    phys_idx = columns.index("physical")
+        return []
     target = None
     if args.command == "locus":
         for name in ("t2", "t3", "t4"):
             if getattr(args, name, None) is not None:
                 target = (int(name[1]), getattr(args, name))
-    for row_number, row in enumerate(rows, start=2):
-        if str(row[phys_idx]) not in ("1", "1.0"):
-            continue
-        try:
-            p = np.array([float(row[i]) for i in p_cols])
-        except (TypeError, ValueError):
-            problems.append(f"row {row_number}: physical row has unreadable p")
-            continue
-        if not np.all(np.isfinite(p)):
-            problems.append(f"row {row_number}: physical row has non-finite p")
-            continue
-        if abs(p.sum() - 1.0) > 1e-9 or p.min() < -1e-9:
-            problems.append(f"row {row_number}: p violates the simplex constraints")
+    physical = np.isin(np.array(cells["physical"], dtype=str), ("1", "1.0"))
+    read = [_floats(cells[c]) for c in p_cols]
+    p = np.column_stack([values for values, _ in read])
+    unreadable = physical & np.column_stack([bad for _, bad in read]).any(axis=1)
+    nonfinite = physical & ~unreadable & ~np.isfinite(p).all(axis=1)
+    checked = physical & ~unreadable & ~nonfinite
+    with np.errstate(invalid="ignore", over="ignore"):  # unchecked rows may hold anything
+        off_simplex = checked & ((np.abs(p.sum(axis=1) - 1.0) > 1e-9) | (p.min(axis=1) < -1e-9))
+        off_target = np.zeros_like(checked)
         if target is not None:
             ell, value = target
-            if abs((p**ell).sum() - value) > 1e-9:
-                problems.append(f"row {row_number}: t{ell} deviates from {value!r}")
+            off_target = checked & (np.abs((p**ell).sum(axis=1) - value) > 1e-9)
+    problems = []
+    for i in np.flatnonzero(unreadable | nonfinite | off_simplex | off_target):
+        row_number = int(i) + 2
+        if unreadable[i]:
+            problems.append(f"row {row_number}: physical row has unreadable p")
+        elif nonfinite[i]:
+            problems.append(f"row {row_number}: physical row has non-finite p")
+        else:
+            if off_simplex[i]:
+                problems.append(f"row {row_number}: p violates the simplex constraints")
+            if off_target[i]:
+                problems.append(f"row {row_number}: t{target[0]} deviates from {target[1]!r}")
     return problems
 
 
@@ -624,26 +683,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if not dataset.rows:
+    if not len(dataset):
         print("error: the requested grid produced no rows", file=sys.stderr)
         return EXIT_CONFIG
-    if dataset.failed_nodes and dataset.failed_nodes == len(dataset.rows):
+    if dataset.failed_nodes and dataset.failed_nodes == len(dataset):
         print("numerical-failure: no node produced a finite result", file=sys.stderr)
         return EXIT_NUMERICAL
 
     try:
-        if args.format == "csv":
-            _write_csv(args.out, dataset)
-        else:
-            _write_json(args.out, dataset)
-        _write_sidecar(args.out, args, dataset)
+        _write_outputs(args.out, args, dataset)
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     if dataset.failed_nodes:
         print(
-            f"note: {dataset.failed_nodes} of {len(dataset.rows)} nodes had no "
+            f"note: {dataset.failed_nodes} of {len(dataset)} nodes had no "
             "admissible solution and were masked",
             file=sys.stderr,
         )

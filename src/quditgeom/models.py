@@ -14,28 +14,33 @@ as the couplings vary split the ``(g_minus, g_plus)`` plane into three
 regions with fixed energy ordering, separated by the curves where the
 ground pair (or the top pair) becomes degenerate.
 
-Sweeps iterate the coupling grid in row-major order with no shared
-mutable state, so grid points may be evaluated concurrently while the
-output ordering stays fixed.
+Phase sweeps run as one batched kernel, :func:`phase_grid`: the closed
+forms, the stable level ordering, the degeneracy test, the Gibbs
+occupations and the lambda and t images all broadcast over the whole
+coupling grid, whose nodes come out in row-major order (first grid outer).
+:func:`classify_region`, :func:`label_ordered_occupations` and the
+analytic branch of :func:`lmg_spectrum` call the same helpers on one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT
 from .errors import DimensionError
 from .representations import invariants, p_to_lambda
-from .thermal import Spectrum, gibbs_state
+from .thermal import Spectrum, _check_beta, _occupations
 
 __all__ = [
     "AngularMomentum",
     "LMGParams",
     "PhaseRegion",
     "PhasePoint",
+    "PhaseGrid",
     "angular_momentum",
     "linear_spectrum",
     "direction_hamiltonian",
@@ -43,6 +48,8 @@ __all__ = [
     "lmg_spectrum",
     "separatrix",
     "classify_region",
+    "label_ordered_occupations",
+    "phase_grid",
     "phase_sweep",
 ]
 
@@ -53,6 +60,12 @@ def _check_spin(j) -> float:
     if not math.isfinite(j) or j <= 0 or abs(twoj - round(twoj)) > 1e-12:
         raise DimensionError(f"2J must be a positive integer, got J = {j!r}")
     return j
+
+
+def _check_omega(omega) -> float:
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -74,8 +87,7 @@ class LMGParams:
     g_y: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega!r}")
+        _check_omega(self.omega)
         if not (math.isfinite(self.g_x) and math.isfinite(self.g_y)):
             raise ValueError("couplings must be finite")
 
@@ -121,6 +133,41 @@ class PhasePoint:
     region: PhaseRegion
 
 
+@dataclass(frozen=True, eq=False)
+class PhaseGrid:
+    """Columns of a thermal phase sweep, one row per coupling-grid node.
+
+    Rows run over the grid in row-major order (first grid outer).
+    ``order[i]`` lists the level labels (1-based) by ascending energy and
+    ``degenerate[i, k]`` flags the label pair ``pairs[k]``; a row with any
+    flag set has ``region[i] == "boundary"``.  ``p`` holds the occupations
+    in fixed label order, ``lam`` and ``t`` its lambda and t images.
+    """
+
+    g_x: np.ndarray
+    g_y: np.ndarray
+    g_minus: np.ndarray
+    g_plus: np.ndarray
+    region: np.ndarray
+    order: np.ndarray
+    degenerate: np.ndarray
+    pairs: tuple
+    p: np.ndarray
+    lam: np.ndarray
+    t: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.region.size)
+
+
+class _Couplings(NamedTuple):
+    """Couplings read by the closed forms, as arrays that broadcast together."""
+
+    omega: float
+    g_plus: np.ndarray
+    g_minus: np.ndarray
+
+
 def angular_momentum(j) -> AngularMomentum:
     """Spin matrices from the standard ladder-operator matrix elements."""
     j = _check_spin(j)
@@ -141,8 +188,7 @@ def angular_momentum(j) -> AngularMomentum:
 def linear_spectrum(j, omega: float = 1.0) -> Spectrum:
     """Spectrum ``omega*M, M = -J..J`` of ``H = omega * n.J`` (any direction)."""
     j = _check_spin(j)
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    _check_omega(omega)
     m = np.arange(int(round(2 * j)) + 1) - j
     return Spectrum(energies=omega * m, labels=tuple(f"M={mm:g}" for mm in m))
 
@@ -164,26 +210,35 @@ def lmg_hamiltonian(j, params: LMGParams) -> np.ndarray:
     )
 
 
-def _lmg_labeled_energies(j: float, params: LMGParams) -> np.ndarray:
-    """Closed-form LMG energies in label order (J = 1 or J = 3/2 only)."""
+def _lmg_labeled_energies(j: float, params) -> np.ndarray:
+    """Closed-form LMG energies in label order (J = 1 or J = 3/2 only).
+
+    ``params`` is an :class:`LMGParams` or any record whose ``omega``,
+    ``g_plus`` and ``g_minus`` broadcast together; the levels run along a
+    new last axis.  Raises ``ValueError`` when a level overflows.
+    """
     w = params.omega
-    gp = params.g_plus
-    gm = params.g_minus
-    if j == 1.0:
-        s = math.sqrt(4.0 + gm * gm)
-        return np.array([2.0 * w * gp, w * (gp - s), w * (gp + s)])
-    if j == 1.5:
-        a = math.sqrt(3.0 * gm * gm + (gp - 2.0) ** 2)
-        b = math.sqrt(3.0 * gm * gm + (gp + 2.0) ** 2)
-        return np.array(
-            [
+    gp = np.asarray(params.g_plus, dtype=float)
+    gm = np.asarray(params.g_minus, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if j == 1.0:
+            s = np.sqrt(4.0 + gm * gm)
+            levels = (2.0 * w * gp, w * (gp - s), w * (gp + s))
+        elif j == 1.5:
+            a = np.sqrt(3.0 * gm * gm + (gp - 2.0) ** 2)
+            b = np.sqrt(3.0 * gm * gm + (gp + 2.0) ** 2)
+            levels = (
                 w / 2.0 * (5.0 * gp + 2.0 - 2.0 * a),
                 w / 2.0 * (5.0 * gp - 2.0 - 2.0 * b),
                 w / 2.0 * (5.0 * gp - 2.0 + 2.0 * b),
                 w / 2.0 * (5.0 * gp + 2.0 + 2.0 * a),
-            ]
-        )
-    raise DimensionError(f"closed forms exist only for J in {{1, 3/2}}, got J = {j:g}")
+            )
+        else:
+            raise DimensionError(f"closed forms exist only for J in {{1, 3/2}}, got J = {j:g}")
+    energies = np.stack(np.broadcast_arrays(*levels), axis=-1)
+    if not np.isfinite(energies).all():
+        raise ValueError("energies must be finite")
+    return energies
 
 
 def lmg_spectrum(j, params: LMGParams, *, method: str = "auto") -> Spectrum:
@@ -236,6 +291,51 @@ _REGION_BY_ORDER = {
 }
 
 
+def _classify(j: float, energies: np.ndarray, order: np.ndarray, tol) -> tuple:
+    """Degenerate label pairs and region ids of ``(N, n)`` label-ordered levels.
+
+    ``order`` is the stable ascending argsort of ``energies`` along the
+    level axis.  Two levels are degenerate when they differ by at most
+    ``tol * max(1, max|E|)`` of their row.
+    """
+    tol = DEFAULT.degeneracy if tol is None else tol
+    first, second = np.triu_indices(energies.shape[-1], 1)
+    scale = np.maximum(1.0, np.abs(energies).max(axis=-1, keepdims=True))
+    degenerate = np.abs(energies[:, first] - energies[:, second]) <= tol * scale
+    ordered = ~degenerate.any(axis=-1)
+    region = np.full(len(energies), "boundary")
+    for labels, name in _REGION_BY_ORDER[j].items():
+        region[ordered & (order == np.subtract(labels, 1)).all(axis=-1)] = name
+    unexpected = ordered & (region == "boundary")
+    if unexpected.any():
+        labels = tuple(order[unexpected.argmax()] + 1)
+        raise RuntimeError(f"unexpected level ordering {labels}")
+    return degenerate, region
+
+
+def _label_occupations(energies: np.ndarray, order: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs occupations of label-ordered levels, returned in label order."""
+    p_sorted = _occupations(np.take_along_axis(energies, order, axis=-1), beta)
+    p = np.empty_like(p_sorted)
+    np.put_along_axis(p, order, p_sorted, axis=-1)
+    return p
+
+
+def _label_pairs(n: int) -> tuple:
+    return tuple((int(a) + 1, int(b) + 1) for a, b in zip(*np.triu_indices(n, 1)))
+
+
+def _phase_region(region_id: str, order: tuple, degenerate, pairs: tuple) -> PhaseRegion:
+    if region_id != "boundary":
+        return PhaseRegion(region_id=region_id, energy_order=order, probability_order=order)
+    return PhaseRegion(
+        region_id=region_id,
+        energy_order=order,
+        probability_order=order,
+        degenerate_pairs=tuple(pair for pair, hit in zip(pairs, degenerate) if hit),
+    )
+
+
 def classify_region(j, params: LMGParams, tol: float | None = None) -> PhaseRegion:
     """Phase region of an LMG coupling point from its energy ordering.
 
@@ -246,31 +346,11 @@ def classify_region(j, params: LMGParams, tol: float | None = None) -> PhaseRegi
     degenerate label pairs instead of an arbitrary ordering.
     """
     j = _check_spin(j)
-    tol = DEFAULT.degeneracy if tol is None else tol
-    energies = _lmg_labeled_energies(j, params)
-    order = np.argsort(energies, kind="stable")
-    scale = max(1.0, float(np.abs(energies).max()))
-    pairs = []
-    for a in range(len(energies) - 1):
-        for b in range(a + 1, len(energies)):
-            if abs(energies[a] - energies[b]) <= tol * scale:
-                pairs.append((a + 1, b + 1))
-    label_order = tuple(int(i) + 1 for i in order)
-    if pairs:
-        return PhaseRegion(
-            region_id="boundary",
-            energy_order=label_order,
-            probability_order=label_order,
-            degenerate_pairs=tuple(pairs),
-        )
-    region = _REGION_BY_ORDER[j].get(label_order)
-    if region is None:
-        raise RuntimeError(f"unexpected level ordering {label_order} at {params}")
-    return PhaseRegion(
-        region_id=region,
-        energy_order=label_order,
-        probability_order=label_order,
-    )
+    energies = _lmg_labeled_energies(j, params)[None]
+    order = np.argsort(energies, axis=-1, kind="stable")
+    degenerate, region = _classify(j, energies, order, tol)
+    return _phase_region(str(region[0]), tuple((order[0] + 1).tolist()), degenerate[0],
+                         _label_pairs(energies.shape[-1]))
 
 
 def label_ordered_occupations(j, params: LMGParams, beta: float) -> np.ndarray:
@@ -282,12 +362,56 @@ def label_ordered_occupations(j, params: LMGParams, beta: float) -> np.ndarray:
     bisectrix, while the energy-sorted vector always stays in the
     descending sector.
     """
-    spectrum = lmg_spectrum(j, params)
-    state = gibbs_state(spectrum, beta)
-    p = np.empty_like(state.p)
-    for position, label in enumerate(spectrum.labels):
-        p[int(label[1:]) - 1] = state.p[position]
-    return p
+    j = _check_spin(j)
+    beta = _check_beta(beta)
+    energies = _lmg_labeled_energies(j, params)
+    return _label_occupations(energies, np.argsort(energies, kind="stable"), beta)
+
+
+def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
+               *, coords: str = "gpm", tol: float | None = None) -> PhaseGrid:
+    """Thermal states and regions over a rectangular coupling grid, as columns.
+
+    The batched form of :func:`phase_sweep`, with the same arguments and
+    checks (``tol`` as in :func:`classify_region`): the closed forms are
+    evaluated once per node, the levels are sorted with one stable argsort,
+    and one validated :func:`p_to_lambda` and one validated
+    :func:`invariants` call cover the whole grid.
+    """
+    j = _check_spin(j)
+    if coords not in ("gpm", "gxy"):
+        raise ValueError(f"coords must be 'gpm' or 'gxy', got {coords!r}")
+    first = np.atleast_1d(np.asarray(g_minus_grid, dtype=float))
+    second = np.atleast_1d(np.asarray(g_plus_grid, dtype=float))
+    if first.ndim != 1 or second.ndim != 1:
+        raise ValueError("coupling grids must be one-dimensional")
+    if first.size == 0 or second.size == 0:
+        raise ValueError("coupling grids must be non-empty")
+    omega = _check_omega(omega)
+    beta = _check_beta(beta)
+    a, b = (axis.ravel() for axis in np.meshgrid(first, second, indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite couplings fail below
+        g_x, g_y = ((b + a) / 2.0, (b - a) / 2.0) if coords == "gpm" else (a, b)
+        couplings = _Couplings(omega=omega, g_plus=g_x + g_y, g_minus=g_x - g_y)
+    if not (np.isfinite(g_x).all() and np.isfinite(g_y).all()):
+        raise ValueError("couplings must be finite")
+    energies = _lmg_labeled_energies(j, couplings)
+    order = np.argsort(energies, axis=-1, kind="stable")
+    degenerate, region = _classify(j, energies, order, tol)
+    p = _label_occupations(energies, order, beta)
+    return PhaseGrid(
+        g_x=g_x,
+        g_y=g_y,
+        g_minus=couplings.g_minus,
+        g_plus=couplings.g_plus,
+        region=region,
+        order=order + 1,
+        degenerate=degenerate,
+        pairs=_label_pairs(energies.shape[-1]),
+        p=p,
+        lam=p_to_lambda(p),
+        t=invariants(p),
+    )
 
 
 def phase_sweep(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
@@ -299,30 +423,19 @@ def phase_sweep(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
     approaches the first vertex and regions II/III the second.
     ``coords="gpm"`` reads the two grids as (g_minus, g_plus) values,
     ``coords="gxy"`` as (g_x, g_y).  The grid is traversed row-major
-    (first grid outer), giving a deterministic output order.
+    (first grid outer), giving a deterministic output order.  This is a
+    list of :class:`PhasePoint` records over the columns of
+    :func:`phase_grid`.
     """
-    j = _check_spin(j)
-    if coords not in ("gpm", "gxy"):
-        raise ValueError(f"coords must be 'gpm' or 'gxy', got {coords!r}")
-    first = np.atleast_1d(np.asarray(g_minus_grid, dtype=float))
-    second = np.atleast_1d(np.asarray(g_plus_grid, dtype=float))
-    if first.size == 0 or second.size == 0:
-        raise ValueError("coupling grids must be non-empty")
-    points = []
-    for a in first:
-        for b in second:
-            if coords == "gpm":
-                params = LMGParams.from_plus_minus(g_minus=a, g_plus=b, omega=omega)
-            else:
-                params = LMGParams(omega=omega, g_x=a, g_y=b)
-            p = label_ordered_occupations(j, params, beta)
-            points.append(
-                PhasePoint(
-                    params=params,
-                    p=p,
-                    lam=p_to_lambda(p),
-                    t=invariants(p),
-                    region=classify_region(j, params),
-                )
-            )
-    return points
+    grid = phase_grid(j, g_minus_grid, g_plus_grid, beta, omega, coords=coords)
+    # regions are immutable and repeat across the grid: build each one once
+    keys = list(zip(grid.region.tolist(), map(tuple, grid.order.tolist()),
+                    map(tuple, grid.degenerate.tolist())))
+    regions = {key: _phase_region(*key, grid.pairs) for key in set(keys)}
+    return [
+        PhasePoint(params=LMGParams(omega=omega, g_x=g_x, g_y=g_y), p=p, lam=lam, t=t,
+                   region=regions[key])
+        for g_x, g_y, p, lam, t, key in zip(
+            grid.g_x.tolist(), grid.g_y.tolist(), grid.p, grid.lam, grid.t, keys
+        )
+    ]

@@ -112,11 +112,25 @@ class ThermalTrajectory:
 
 
 def _occupations(energies: np.ndarray, beta) -> np.ndarray:
-    """Ground-shifted Boltzmann weights, broadcasting beta over rows."""
-    shifted = energies - energies[0]
+    """Normalized ground-shifted Boltzmann weights.
+
+    ``energies`` holds ascending levels along its last axis.  Either a
+    beta grid over one spectrum (one row per beta) or one beta over a
+    stack of spectra (one row per spectrum).
+    """
+    shifted = energies - energies[..., :1]
     x = -np.multiply.outer(np.asarray(beta, dtype=float), shifted)
     w = np.exp(x)
     return w / w.sum(axis=-1, keepdims=True)
+
+
+def _check_beta(beta) -> float:
+    beta = float(beta)
+    if math.isnan(beta) or math.isinf(beta):
+        raise ValueError("beta must be finite; use endpoint_state for the limits")
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    return beta
 
 
 def gibbs_state(spectrum: Spectrum, beta: float) -> ThermalState:
@@ -125,11 +139,7 @@ def gibbs_state(spectrum: Spectrum, beta: float) -> ThermalState:
     Raises ``ValueError`` for negative beta; the infinite-temperature and
     zero-temperature limits are served exactly by :func:`endpoint_state`.
     """
-    beta = float(beta)
-    if math.isnan(beta) or math.isinf(beta):
-        raise ValueError("beta must be finite; use endpoint_state for the limits")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    beta = _check_beta(beta)
     h = spectrum.energies
     shifted = h - h[0]
     weights = np.exp(-beta * shifted)

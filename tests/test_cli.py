@@ -152,6 +152,19 @@ class TestPhaseDiagramCommand:
                 assert p.argmax() == 1
 
 
+    @pytest.mark.parametrize("bad", [
+        ["--gminus", "nan", "--gplus", "0"],
+        ["--gminus", "0", "--gplus", "inf"],
+        ["--gminus", "0", "--gplus", "0", "--omega", "0"],
+        ["--gminus", "0", "--gplus", "0", "--omega", "-1"],
+        ["--gminus", "0", "--gplus", "0", "--beta", "-1"],
+    ])
+    def test_invalid_couplings_omega_and_beta_exit_two(self, tmp_path, bad):
+        argv = ["phase-diagram", "--J", "3/2", "--beta", "1", *bad, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_CONFIG
+        assert os.listdir(tmp_path) == []
+
+
 class TestLocusCommand:
     def test_qutrit_t3_locus_self_consistent(self, tmp_path):
         out = tmp_path / "locus.csv"
@@ -340,6 +353,134 @@ class TestErrorPaths:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_NUMERICAL
+
+
+class TestWriters:
+    FLOATS = [-0.0, math.nan, 5e-324, 1e-5, 1e16, 0.1, -2.5, 1 / 3, math.nan, 1e-5]
+    LABELS = ["a", 'q"uote', "c,omma", "", "II", "line\nbreak", "a", "boundary", "b", "a"]
+
+    def _dataset(self):
+        from quditgeom.cli import Dataset
+
+        return Dataset(columns={
+            "x": np.array(self.FLOATS),
+            "count": np.arange(len(self.FLOATS)) - 3,
+            "label": np.array(self.LABELS),
+            "physical": np.array([1, 0] * 5),
+        })
+
+    @pytest.mark.parametrize("chunk_rows", [3, 4096])
+    def test_csv_matches_csv_writer(self, monkeypatch, chunk_rows):
+        import io
+
+        import quditgeom.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", chunk_rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["x", "count", "label", "physical"])
+        for k, (x, label) in enumerate(zip(self.FLOATS, self.LABELS)):
+            writer.writerow([repr(x + 0.0), repr(k - 3), label, repr(1 - k % 2)])
+        got = io.StringIO()
+        cli_mod._write_csv(got, self._dataset())
+        assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("chunk_rows", [3, 4096])
+    def test_json_matches_json_dumps(self, monkeypatch, chunk_rows):
+        import io
+
+        import quditgeom.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", chunk_rows)
+        payload = {
+            "columns": ["x", "count", "label", "physical"],
+            "rows": [
+                {"x": None if math.isnan(x) else x + 0.0, "count": k - 3, "label": label,
+                 "physical": 1 - k % 2}
+                for k, (x, label) in enumerate(zip(self.FLOATS, self.LABELS))
+            ],
+        }
+        got = io.StringIO()
+        cli_mod._write_json(got, self._dataset())
+        assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
+
+
+class TestValidate:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_each_bad_physical_row(self, tmp_path, fmt):
+        from argparse import Namespace
+
+        from quditgeom.cli import _validate_output
+
+        rows = [
+            (0.5, 0.25, 0.25, 1),      # fine, t2 = 0.375
+            (0.5, 0.5, 0.5, 1),        # off the simplex, and t2 off target
+            ("x", 0.5, 0.5, 1),        # unreadable
+            (math.nan, 0.5, 0.5, 1),   # non-finite
+            ("x", math.nan, 2.0, 0),   # not physical: never checked
+            (0.2, 0.3, 0.5, 1.0),      # t2 off target only
+        ]
+        path = tmp_path / f"v.{fmt}"
+        if fmt == "csv":
+            path.write_text("p1,p2,p3,physical\n"
+                            + "".join(",".join(map(str, row)) + "\n" for row in rows))
+        else:
+            path.write_text(json.dumps({"columns": ["p1", "p2", "p3", "physical"], "rows": [
+                dict(zip(["p1", "p2", "p3", "physical"],
+                         [None if isinstance(x, float) and math.isnan(x) else x for x in row]))
+                for row in rows]}))
+        problems = _validate_output(str(path), fmt, Namespace(command="locus", t2=0.375))
+        nonfinite = "unreadable" if fmt == "json" else "non-finite"  # JSON null is no number
+        assert problems == [
+            "row 3: p violates the simplex constraints",
+            "row 3: t2 deviates from 0.375",
+            "row 4: physical row has unreadable p",
+            f"row 5: physical row has {nonfinite} p",
+            "row 7: t2 deviates from 0.375",
+        ]
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, fmt):
+        import quditgeom.cli as cli_mod
+
+        writes = []
+
+        class FailingFile:
+            """Passes the header and the first chunk of rows, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+            def write(self, text):
+                if len(writes) == 2:
+                    raise OSError(28, "No space left on device")
+                writes.append(text)
+                return self.handle.write(text)
+
+        monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", 8)
+        monkeypatch.setattr(cli_mod, "open", lambda *a, **k: FailingFile(open(*a, **k)),
+                            raising=False)
+        out = tmp_path / f"grid.{fmt}"
+        code = main(["map", "--n", "3", "--grid", "6", "--format", fmt, "--out", str(out)])
+        assert code == EXIT_IO
+        assert len(writes) == 2 and "0.0" in writes[1]  # the first chunk went out
+        assert not out.exists()
+        assert os.listdir(tmp_path) == []
+
+    def test_success_leaves_only_the_outputs(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        out.write_text("stale\n")
+        assert main(["map", "--n", "3", "--grid", "6", "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path)) == ["grid.csv", "grid.csv.meta.json"]
+        assert out.read_text().startswith("p1,p2,p3,")
 
 
 # alpha = 0 row of the purity-1/2 qutrit circle: radius 1/sqrt(6) along e1,

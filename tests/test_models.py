@@ -12,7 +12,9 @@ from quditgeom import (
     gibbs_state,
     linear_spectrum,
     lmg_hamiltonian,
+    invariants,
     lmg_spectrum,
+    phase_grid,
     phase_sweep,
     separatrix,
 )
@@ -241,6 +243,64 @@ class TestPhaseSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             phase_sweep(1, [], [0.0], beta=1.0)
+
+
+class TestPhaseGrid:
+    # nodes on the separatrices: J = 1 at (0, -2), J = 3/2 at (0, +-1), and
+    # the J = 3/2 double crossings (0, +-2)
+    GRID = np.linspace(-3, 3, 7)
+
+    @pytest.mark.parametrize("coords", ["gpm", "gxy"])
+    @pytest.mark.parametrize("j", [1, 1.5])
+    def test_matches_per_point_classification(self, j, coords):
+        grid = phase_grid(j, self.GRID, self.GRID, beta=0.8, coords=coords)
+        assert len(grid) == 49
+        assert (grid.region == "boundary").any()
+        for i in range(len(grid)):
+            region = classify_region(j, LMGParams(g_x=grid.g_x[i], g_y=grid.g_y[i]))
+            assert grid.region[i] == region.region_id
+            assert tuple(grid.order[i]) == region.energy_order
+            pairs = tuple(pair for pair, hit in zip(grid.pairs, grid.degenerate[i]) if hit)
+            assert pairs == region.degenerate_pairs
+
+    @pytest.mark.parametrize("coords", ["gpm", "gxy"])
+    @pytest.mark.parametrize("j", [1, 1.5])
+    def test_occupations_match_numeric_spectrum(self, j, coords):
+        beta = 0.8
+        grid = phase_grid(j, self.GRID, self.GRID, beta=beta, omega=1.3, coords=coords)
+        for i in range(len(grid)):
+            params = LMGParams(omega=1.3, g_x=grid.g_x[i], g_y=grid.g_y[i])
+            state = gibbs_state(lmg_spectrum(j, params, method="numeric"), beta)
+            np.testing.assert_allclose(np.sort(grid.p[i])[::-1], state.p, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grid.t[i], invariants(state.p), rtol=0, atol=1e-12)
+
+    def test_grid_order_and_sweep_view(self):
+        grid = phase_grid(1, [1.0, 2.0], [3.0, 4.0, 5.0], beta=0.5)
+        np.testing.assert_array_equal(grid.g_minus, [1, 1, 1, 2, 2, 2])
+        np.testing.assert_array_equal(grid.g_plus, [3, 4, 5, 3, 4, 5])
+        points = phase_sweep(1, [1.0, 2.0], [3.0, 4.0, 5.0], beta=0.5)
+        for i, point in enumerate(points):
+            assert point.params.g_minus == grid.g_minus[i]
+            assert point.region.region_id == grid.region[i]
+            np.testing.assert_array_equal(point.lam, grid.lam[i])
+
+    @pytest.mark.parametrize("change", [
+        {"g_minus_grid": [0.0, math.nan]},
+        {"g_plus_grid": [math.inf]},
+        {"g_minus_grid": [1e308], "g_plus_grid": [1e308]},
+        {"omega": 0.0},
+        {"omega": -1.0},
+        {"omega": math.inf},
+        {"beta": -0.5},
+        {"beta": math.nan},
+        {"beta": math.inf},
+    ])
+    @pytest.mark.parametrize("coords", ["gpm", "gxy"])
+    def test_rejects_invalid_inputs(self, change, coords):
+        kwargs = {"j": 1.5, "g_minus_grid": [0.0, 1.0], "g_plus_grid": [0.5], "beta": 1.0,
+                  "coords": coords, **change}
+        with pytest.raises(ValueError):
+            phase_sweep(**kwargs)
 
 
 def test_lmg_params_validation():
