@@ -193,7 +193,7 @@ def _lmg_params_from_args(args) -> LMGParams:
 # dataset builders
 
 
-def _node_table(lead: dict, p, *, lam=None, t=None, physical=None, notes=()) -> Dataset:
+def _node_table(lead: dict, p, *, lam=None, t=None, physical=None) -> Dataset:
     """A dataset of ``lead`` columns, then p, lambda, t and physical.
 
     ``p`` holds one state per row.  lambda and t are derived from the whole
@@ -215,7 +215,7 @@ def _node_table(lead: dict, p, *, lam=None, t=None, physical=None, notes=()) -> 
     columns.update(zip(_lambda_names(n), lam.T))
     columns.update(zip(_t_names(n), t.T))
     columns["physical"] = flags
-    return Dataset(columns=columns, notes=list(notes), failed_nodes=int(masked.sum()))
+    return Dataset(columns=columns, failed_nodes=int(masked.sum()))
 
 
 def _build_frame(args) -> Dataset:
@@ -232,6 +232,8 @@ def _barycentric_grid(n: int, divisions: int) -> np.ndarray:
 
     Rows run in ascending lexicographic order of their coordinates.
     """
+    # each pass appends one coordinate: every partial row splits into one
+    # row per value 0..left, in ascending order, where left is what remains
     parts = np.zeros((1, 0), dtype=np.int64)
     left = np.array([divisions])
     for _ in range(n - 1):
@@ -391,9 +393,9 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 # output
 
-#: rows formatted and written at a time, so the text of the whole file is
-#: never held in memory
-_CHUNK_ROWS = 4096
+#: rows formatted and written at a time: only one chunk of cell strings is
+#: ever held, which keeps peak memory at the level of the arrays themselves
+_CHUNK_ROWS = 1024
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -442,12 +444,10 @@ def _write_csv(handle, dataset: Dataset) -> None:
 
 def _write_json(handle, dataset: Dataset) -> None:
     """The bytes of ``json.dump({"columns": [...], "rows": [{...}, ...]},
-    indent=1)`` and a final newline, written one chunk of rows at a time."""
+    indent=1)`` and a final newline, written one chunk of rows at a time
+    (at least one row: empty datasets are refused before writing)."""
     keys = [json.dumps(name) for name in dataset.columns]
     handle.write('{\n "columns": [\n' + ",\n".join(f"  {key}" for key in keys) + "\n ],\n")
-    if not len(dataset):
-        handle.write(' "rows": []\n}\n')
-        return
     template = "  {\n" + ",\n".join(f"   {key.replace('%', '%%')}: %s" for key in keys) + "\n  }"
     separator = ' "rows": [\n'
     for rows in _chunks(dataset, for_json=True):

@@ -291,7 +291,7 @@ _REGION_BY_ORDER = {
 }
 
 
-def _classify(j: float, energies: np.ndarray, order: np.ndarray, tol) -> tuple:
+def _classify(j: float, energies: np.ndarray, order: np.ndarray, tol=None) -> tuple:
     """Degenerate label pairs and region ids of ``(N, n)`` label-ordered levels.
 
     ``order`` is the stable ascending argsort of ``energies`` along the
@@ -369,14 +369,13 @@ def label_ordered_occupations(j, params: LMGParams, beta: float) -> np.ndarray:
 
 
 def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
-               *, coords: str = "gpm", tol: float | None = None) -> PhaseGrid:
+               *, coords: str = "gpm") -> PhaseGrid:
     """Thermal states and regions over a rectangular coupling grid, as columns.
 
     The batched form of :func:`phase_sweep`, with the same arguments and
-    checks (``tol`` as in :func:`classify_region`): the closed forms are
-    evaluated once per node, the levels are sorted with one stable argsort,
-    and one validated :func:`p_to_lambda` and one validated
-    :func:`invariants` call cover the whole grid.
+    checks: the closed forms are evaluated once per node, the levels are
+    sorted with one stable argsort, and one validated :func:`p_to_lambda`
+    and one validated :func:`invariants` call cover the whole grid.
     """
     j = _check_spin(j)
     if coords not in ("gpm", "gxy"):
@@ -397,7 +396,7 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
         raise ValueError("couplings must be finite")
     energies = _lmg_labeled_energies(j, couplings)
     order = np.argsort(energies, axis=-1, kind="stable")
-    degenerate, region = _classify(j, energies, order, tol)
+    degenerate, region = _classify(j, energies, order)
     p = _label_occupations(energies, order, beta)
     return PhaseGrid(
         g_x=g_x,
