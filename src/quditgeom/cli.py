@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -395,7 +396,7 @@ _BUILDERS = {
 
 #: rows formatted and written at a time: only one chunk of cell strings is
 #: ever held, which keeps peak memory at the level of the arrays themselves
-_CHUNK_ROWS = 1024
+_CHUNK_ROWS = 512
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -420,26 +421,34 @@ def _cells(column: np.ndarray, *, for_json: bool) -> list:
         return np.array(cells, dtype=object)[inverse].tolist()
     if kind in "biu":
         return list(map(repr, column.astype(np.int64).tolist()))
-    texts = column.astype(str).tolist()
+    texts = column.tolist()
     quote = json.dumps if for_json else _csv_field
     quoted = {text: quote(text) for text in set(texts)}
     return [quoted[text] for text in texts]
 
 
-def _chunks(dataset: Dataset, *, for_json: bool):
-    """Rows of formatted cells, as one list of row tuples per chunk."""
+def _text_chunks(dataset: Dataset, separators: list, *, for_json: bool):
+    """The rows as text, one string per chunk of rows.
+
+    Each row reads ``separators[0] cell separators[1] cell ... separators[-1]``.
+    The cells of a chunk are interleaved with the separators into a single
+    join, so no string per row is built.
+    """
     columns = list(dataset.columns.values())
     for start in range(0, len(dataset), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        yield list(zip(*(_cells(col[start:stop], for_json=for_json) for col in columns)))
+        cells = [_cells(col[start:start + _CHUNK_ROWS], for_json=for_json) for col in columns]
+        fill = [itertools.repeat(sep, len(cells[0])) for sep in separators]
+        streams = [stream for pair in zip(fill, cells) for stream in pair] + fill[-1:]
+        yield "".join(itertools.chain.from_iterable(zip(*streams)))
 
 
 def _write_csv(handle, dataset: Dataset) -> None:
     """The bytes of ``csv.writer(lineterminator="\\n")`` over the header and
     the rows, written one chunk of rows at a time."""
     handle.write(",".join(map(_csv_field, dataset.columns)) + "\n")
-    for rows in _chunks(dataset, for_json=False):
-        handle.write("\n".join(map(",".join, rows)) + "\n")
+    separators = [""] + [","] * (len(dataset.columns) - 1) + ["\n"]
+    for text in _text_chunks(dataset, separators, for_json=False):
+        handle.write(text)
 
 
 def _write_json(handle, dataset: Dataset) -> None:
@@ -447,12 +456,13 @@ def _write_json(handle, dataset: Dataset) -> None:
     indent=1)`` and a final newline, written one chunk of rows at a time
     (at least one row: empty datasets are refused before writing)."""
     keys = [json.dumps(name) for name in dataset.columns]
-    handle.write('{\n "columns": [\n' + ",\n".join(f"  {key}" for key in keys) + "\n ],\n")
-    template = "  {\n" + ",\n".join(f"   {key.replace('%', '%%')}: %s" for key in keys) + "\n  }"
-    separator = ' "rows": [\n'
-    for rows in _chunks(dataset, for_json=True):
-        handle.write(separator + ",\n".join(template % row for row in rows))
-        separator = ",\n"
+    handle.write('{\n "columns": [\n' + ",\n".join(f"  {key}" for key in keys)
+                 + '\n ],\n "rows": [')
+    # every row opens with the ",\n" that separates it from the one before;
+    # the first row of the file opens with "\n" instead
+    separators = [f",\n  {{\n   {keys[0]}: "] + [f",\n   {key}: " for key in keys[1:]] + ["\n  }"]
+    for number, text in enumerate(_text_chunks(dataset, separators, for_json=True)):
+        handle.write(text if number else text[1:])
     handle.write("\n ]\n}\n")
 
 
