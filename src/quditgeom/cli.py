@@ -329,8 +329,7 @@ def _build_locus(args) -> Dataset:
         lead = {"theta": locus.u, "phi": locus.v}
     else:
         lead = {"alpha": locus.parameter}
-    shape = locus.physical.shape
-    lead["r"] = np.full(shape, math.nan) if locus.radius is None else locus.radius
+    lead["r"] = np.full(locus.physical.shape, math.nan) if locus.radius is None else locus.radius
     return _node_table(
         {name: col.ravel() for name, col in lead.items()},
         locus.points.reshape(-1, n),

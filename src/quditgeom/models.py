@@ -308,8 +308,8 @@ def _classify(j: float, energies: np.ndarray, order: np.ndarray, tol=None) -> tu
         region[ordered & (order == np.subtract(labels, 1)).all(axis=-1)] = name
     unexpected = ordered & (region == "boundary")
     if unexpected.any():
-        labels = tuple(order[unexpected.argmax()] + 1)
-        raise RuntimeError(f"unexpected level ordering {labels}")
+        found = tuple((order[unexpected.argmax()] + 1).tolist())
+        raise RuntimeError(f"unexpected level ordering {found}")
     return degenerate, region
 
 
@@ -326,8 +326,6 @@ def _label_pairs(n: int) -> tuple:
 
 
 def _phase_region(region_id: str, order: tuple, degenerate, pairs: tuple) -> PhaseRegion:
-    if region_id != "boundary":
-        return PhaseRegion(region_id=region_id, energy_order=order, probability_order=order)
     return PhaseRegion(
         region_id=region_id,
         energy_order=order,
