@@ -17,9 +17,12 @@ about closed forms that disagree with the invariant map.  Each dataset is
 built as named numpy columns and written column by column in bounded
 chunks of rows.  Both files are written atomically: into temporary files
 in the destination directory, moved into place with ``os.replace`` only
-once both are complete, so a failed run leaves neither behind.  Exit codes:
-0 success, 2 configuration error, 3 I/O error, 4 numerical failure with
-zero successful nodes (also used when --validate finds a violation).
+once both are complete (the data file last, and the sidecar removed again
+if that move fails), so a failed run leaves neither new file behind.
+
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
+failure with zero successful nodes (also used when --validate finds a
+violation).
 """
 
 from __future__ import annotations
@@ -412,12 +415,10 @@ def _cells(column: np.ndarray, *, for_json: bool) -> list:
     becomes ``nan`` or ``null``."""
     kind = column.dtype.kind
     if kind == "f":
-        # repr each distinct value once: state columns repeat values often
-        values, inverse = np.unique(column + 0.0, return_inverse=True)
-        cells = list(map(repr, values.tolist()))
-        if for_json and not np.isfinite(values).all():
+        cells = list(map(repr, (column + 0.0).tolist()))
+        if for_json and not np.isfinite(column).all():
             cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
-        return np.array(cells, dtype=object)[inverse].tolist()
+        return cells
     if kind in "biu":
         return list(map(repr, column.astype(np.int64).tolist()))
     texts = column.tolist()
@@ -490,14 +491,17 @@ def _write_outputs(path: str, args, dataset: Dataset) -> None:
     """Write the data file and its sidecar atomically.
 
     Both go to temporary files in the destination directory first and are
-    moved into place with ``os.replace`` only once both are complete; on any
-    error the temporary files are removed and nothing appears at ``path``.
+    moved into place with ``os.replace`` only once both are complete, the
+    sidecar first and the data file last; if that last move fails, the
+    sidecar just moved is removed again.  On any error the temporary files
+    are removed and no new file is left at ``path`` or beside it.
     """
     write_data = _write_csv if args.format == "csv" else _write_json
     payload = _sidecar(args, dataset)
+    sidecar = path + ".meta.json"
     jobs = (
         (path, lambda handle: write_data(handle, dataset)),
-        (path + ".meta.json", lambda handle: handle.write(json.dumps(payload, indent=1) + "\n")),
+        (sidecar, lambda handle: handle.write(json.dumps(payload, indent=1) + "\n")),
     )
     suffix = f".{os.getpid()}-{os.urandom(4).hex()}.tmp"
     written = []
@@ -507,8 +511,13 @@ def _write_outputs(path: str, args, dataset: Dataset) -> None:
             with open(temp, "x", newline="", encoding="utf-8") as handle:
                 written.append(temp)
                 write(handle)
-        for (target, _), temp in zip(jobs, written):
-            os.replace(temp, target)
+        data_temp, sidecar_temp = written
+        os.replace(sidecar_temp, sidecar)
+        try:
+            os.replace(data_temp, path)
+        except OSError:
+            os.remove(sidecar)
+            raise
     finally:
         for temp in written:
             if os.path.exists(temp):

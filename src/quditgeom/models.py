@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -160,14 +159,6 @@ class PhaseGrid:
         return int(self.region.size)
 
 
-class _Couplings(NamedTuple):
-    """Couplings read by the closed forms, as arrays that broadcast together."""
-
-    omega: float
-    g_plus: np.ndarray
-    g_minus: np.ndarray
-
-
 def angular_momentum(j) -> AngularMomentum:
     """Spin matrices from the standard ladder-operator matrix elements."""
     j = _check_spin(j)
@@ -210,16 +201,15 @@ def lmg_hamiltonian(j, params: LMGParams) -> np.ndarray:
     )
 
 
-def _lmg_labeled_energies(j: float, params) -> np.ndarray:
+def _lmg_labeled_energies(j: float, omega, g_plus, g_minus) -> np.ndarray:
     """Closed-form LMG energies in label order (J = 1 or J = 3/2 only).
 
-    ``params`` is an :class:`LMGParams` or any record whose ``omega``,
-    ``g_plus`` and ``g_minus`` broadcast together; the levels run along a
-    new last axis.  Raises ``ValueError`` when a level overflows.
+    ``omega``, ``g_plus`` and ``g_minus`` broadcast together; the levels run
+    along a new last axis.  Raises ``ValueError`` when a level overflows.
     """
-    w = params.omega
-    gp = np.asarray(params.g_plus, dtype=float)
-    gm = np.asarray(params.g_minus, dtype=float)
+    w = omega
+    gp = np.asarray(g_plus, dtype=float)
+    gm = np.asarray(g_minus, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         if j == 1.0:
             s = np.sqrt(4.0 + gm * gm)
@@ -254,7 +244,7 @@ def lmg_spectrum(j, params: LMGParams, *, method: str = "auto") -> Spectrum:
     if method == "auto":
         method = "analytic" if j in (1.0, 1.5) else "numeric"
     if method == "analytic":
-        energies = _lmg_labeled_energies(j, params)
+        energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
         order = np.argsort(energies, kind="stable")
         return Spectrum(
             energies=energies[order],
@@ -344,7 +334,7 @@ def classify_region(j, params: LMGParams, tol: float | None = None) -> PhaseRegi
     degenerate label pairs instead of an arbitrary ordering.
     """
     j = _check_spin(j)
-    energies = _lmg_labeled_energies(j, params)[None]
+    energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)[None]
     order = np.argsort(energies, axis=-1, kind="stable")
     degenerate, region = _classify(j, energies, order, tol)
     return _phase_region(str(region[0]), tuple((order[0] + 1).tolist()), degenerate[0],
@@ -362,7 +352,7 @@ def label_ordered_occupations(j, params: LMGParams, beta: float) -> np.ndarray:
     """
     j = _check_spin(j)
     beta = _check_beta(beta)
-    energies = _lmg_labeled_energies(j, params)
+    energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
     return _label_occupations(energies, np.argsort(energies, kind="stable"), beta)
 
 
@@ -389,18 +379,18 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
     a, b = (axis.ravel() for axis in np.meshgrid(first, second, indexing="ij"))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite couplings fail below
         g_x, g_y = ((b + a) / 2.0, (b - a) / 2.0) if coords == "gpm" else (a, b)
-        couplings = _Couplings(omega=omega, g_plus=g_x + g_y, g_minus=g_x - g_y)
+        g_plus, g_minus = g_x + g_y, g_x - g_y
     if not (np.isfinite(g_x).all() and np.isfinite(g_y).all()):
         raise ValueError("couplings must be finite")
-    energies = _lmg_labeled_energies(j, couplings)
+    energies = _lmg_labeled_energies(j, omega, g_plus, g_minus)
     order = np.argsort(energies, axis=-1, kind="stable")
     degenerate, region = _classify(j, energies, order)
     p = _label_occupations(energies, order, beta)
     return PhaseGrid(
         g_x=g_x,
         g_y=g_y,
-        g_minus=couplings.g_minus,
-        g_plus=couplings.g_plus,
+        g_minus=g_minus,
+        g_plus=g_plus,
         region=region,
         order=order + 1,
         degenerate=degenerate,

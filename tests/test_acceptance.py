@@ -37,6 +37,11 @@ def _report(number, label):
     print(f"[{number:2d}] PASS  {label}")
 
 
+def _energies(j, g_minus, g_plus):
+    params = LMGParams.from_plus_minus(g_minus, g_plus)
+    return _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
+
+
 def test_c01_t_space_vertices():
     t_vertices(3)  # warm-up (also fills caches)
     start = time.perf_counter()
@@ -122,10 +127,10 @@ def test_c06_separatrix_degeneracy():
     for j, branch, pair in ((1, "ground", (0, 1)), (1, "excited", (0, 2)),
                             (1.5, "ground", (0, 1)), (1.5, "excited", (2, 3))):
         for gm, gp in zip(grid, separatrix(j, branch, grid)):
-            energies = _lmg_labeled_energies(j, LMGParams.from_plus_minus(gm, gp))
+            energies = _energies(j, gm, gp)
             assert abs(energies[pair[0]] - energies[pair[1]]) < 1e-9
-    up = _lmg_labeled_energies(1.5, LMGParams.from_plus_minus(0.0, 2.0))
-    down = _lmg_labeled_energies(1.5, LMGParams.from_plus_minus(0.0, -2.0))
+    up = _energies(1.5, 0.0, 2.0)
+    down = _energies(1.5, 0.0, -2.0)
     assert abs(up[0] - up[3]) < 1e-9       # E1 = E4 at (0, +2)
     assert abs(down[1] - down[2]) < 1e-9   # E2 = E3 at (0, -2)
     _report(6, "separatrix degeneracies hold along 100 points per branch and at (0, +-2)")

@@ -475,6 +475,23 @@ class TestAtomicOutput:
         assert not out.exists()
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("failing", ["grid.csv.meta.json", "grid.csv"])
+    def test_failed_move_leaves_nothing(self, tmp_path, monkeypatch, failing):
+        import quditgeom.cli as cli_mod
+
+        real_replace = os.replace
+
+        def replace(source, target):
+            if os.path.basename(target) == failing:
+                raise OSError(13, "Permission denied")
+            real_replace(source, target)
+
+        monkeypatch.setattr(cli_mod.os, "replace", replace)
+        out = tmp_path / "grid.csv"
+        code = main(["map", "--n", "3", "--grid", "6", "--out", str(out)])
+        assert code == EXIT_IO
+        assert os.listdir(tmp_path) == []
+
     def test_success_leaves_only_the_outputs(self, tmp_path):
         out = tmp_path / "grid.csv"
         out.write_text("stale\n")

@@ -132,7 +132,8 @@ class TestSeparatrix:
             from quditgeom.models import _lmg_labeled_energies
 
             for gm, gp in zip(g_minus, separatrix(j, branch, g_minus)):
-                energies = _lmg_labeled_energies(j, LMGParams.from_plus_minus(gm, gp))
+                params = LMGParams.from_plus_minus(gm, gp)
+                energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
                 assert abs(energies[pair[0]] - energies[pair[1]]) < 1e-9
 
     def test_unsupported_spin(self):
