@@ -396,9 +396,10 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 # output
 
-#: rows formatted and written at a time: only one chunk of cell strings is
-#: ever held, which keeps peak memory at the level of the arrays themselves
-_CHUNK_ROWS = 512
+#: cells formatted and written at a time (whole rows, at least one): only
+#: one chunk of cell strings is ever held, so the text adds a fixed amount
+#: to peak memory however wide or long the table is
+_CHUNK_CELLS = 2048
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -435,8 +436,9 @@ def _text_chunks(dataset: Dataset, separators: list, *, for_json: bool):
     join, so no string per row is built.
     """
     columns = list(dataset.columns.values())
-    for start in range(0, len(dataset), _CHUNK_ROWS):
-        cells = [_cells(col[start:start + _CHUNK_ROWS], for_json=for_json) for col in columns]
+    rows = max(1, _CHUNK_CELLS // len(columns))
+    for start in range(0, len(dataset), rows):
+        cells = [_cells(col[start:start + rows], for_json=for_json) for col in columns]
         fill = [itertools.repeat(sep, len(cells[0])) for sep in separators]
         streams = [stream for pair in zip(fill, cells) for stream in pair] + fill[-1:]
         yield "".join(itertools.chain.from_iterable(zip(*streams)))

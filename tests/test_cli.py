@@ -369,13 +369,13 @@ class TestWriters:
             "physical": np.array([1, 0] * 5),
         })
 
-    @pytest.mark.parametrize("chunk_rows", [3, 4096])
-    def test_csv_matches_csv_writer(self, monkeypatch, chunk_rows):
+    @pytest.mark.parametrize("chunk_cells", [1, 12, 4096])
+    def test_csv_matches_csv_writer(self, monkeypatch, chunk_cells):
         import io
 
         import quditgeom.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(cli_mod, "_CHUNK_CELLS", chunk_cells)
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["x", "count", "label", "physical"])
@@ -385,13 +385,13 @@ class TestWriters:
         cli_mod._write_csv(got, self._dataset())
         assert got.getvalue() == expected.getvalue()
 
-    @pytest.mark.parametrize("chunk_rows", [3, 4096])
-    def test_json_matches_json_dumps(self, monkeypatch, chunk_rows):
+    @pytest.mark.parametrize("chunk_cells", [1, 12, 4096])
+    def test_json_matches_json_dumps(self, monkeypatch, chunk_cells):
         import io
 
         import quditgeom.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(cli_mod, "_CHUNK_CELLS", chunk_cells)
         payload = {
             "columns": ["x", "count", "label", "physical"],
             "rows": [
@@ -465,7 +465,7 @@ class TestAtomicOutput:
                 writes.append(text)
                 return self.handle.write(text)
 
-        monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", 8)
+        monkeypatch.setattr(cli_mod, "_CHUNK_CELLS", 64)  # 8 rows of 8 columns
         monkeypatch.setattr(cli_mod, "open", lambda *a, **k: FailingFile(open(*a, **k)),
                             raising=False)
         out = tmp_path / f"grid.{fmt}"
