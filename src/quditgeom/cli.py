@@ -52,7 +52,7 @@ from .curves import (
     permutation_images,
     t_space_boundary_qutrit,
 )
-from .errors import DimensionError, PositivityError
+from .config import DEFAULT
 from .models import LMGParams, linear_spectrum, lmg_spectrum, phase_grid
 from .representations import check_probability_vector, invariants, p_to_lambda
 from .thermal import trajectory
@@ -170,10 +170,7 @@ def _t_names(n: int) -> list:
 def _spectrum_from_args(args):
     if args.model == "linear":
         return linear_spectrum(args.spin, args.omega)
-    if args.model == "lmg":
-        params = _lmg_params_from_args(args)
-        return lmg_spectrum(args.spin, params)
-    raise ConfigError(f"unknown model {args.model!r}")
+    return lmg_spectrum(args.spin, _lmg_params_from_args(args))
 
 
 def _lmg_params_from_args(args) -> LMGParams:
@@ -181,16 +178,13 @@ def _lmg_params_from_args(args) -> LMGParams:
     has_pm = getattr(args, "gminus_val", None) is not None or getattr(args, "gplus_val", None) is not None
     if has_xy and has_pm:
         raise ConfigError("give either --gx/--gy or --gminus/--gplus, not both")
-    try:
-        if has_pm:
-            return LMGParams.from_plus_minus(
-                g_minus=args.gminus_val or 0.0,
-                g_plus=args.gplus_val or 0.0,
-                omega=args.omega,
-            )
-        return LMGParams(omega=args.omega, g_x=args.gx or 0.0, g_y=args.gy or 0.0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if has_pm:
+        return LMGParams.from_plus_minus(
+            g_minus=args.gminus_val or 0.0,
+            g_plus=args.gplus_val or 0.0,
+            omega=args.omega,
+        )
+    return LMGParams(omega=args.omega, g_x=args.gx or 0.0, g_y=args.gy or 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +256,7 @@ def _build_map(args) -> Dataset:
                 raise ConfigError(f"point {text!r} has {vec.size} entries, expected {n}")
             try:
                 check_probability_vector(vec, tol=1e-9)
-            except (PositivityError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"point {text!r} is not a probability vector: {exc}") from exc
             pts.append(vec)
         grid = np.vstack(pts)
@@ -280,8 +274,6 @@ def _build_thermal(args) -> Dataset:
 
 
 def _build_phase_diagram(args) -> Dataset:
-    if args.model != "lmg":
-        raise ConfigError("phase-diagram supports --model lmg only")
     g_first = _parse_range(args.gminus)
     g_second = _parse_range(args.gplus)
     beta = args.beta
@@ -301,38 +293,33 @@ def _build_locus(args) -> Dataset:
     if len(chosen) != 1:
         raise ConfigError("locus needs exactly one of --t2, --t3, --t4")
     which, value = chosen[0]
-    try:
-        if n == 3:
-            if which == "t4":
-                raise ConfigError("t4 is not defined for n = 3")
-            if which == "t2":
-                locus = constant_t2_locus(3, value, samples=args.samples)
-            else:
-                locus = constant_t3_locus_qutrit(value, alpha_samples=args.samples)
-        elif n == 4:
-            if which == "t2":
-                locus = constant_t2_locus(
-                    4, value,
-                    theta_samples=args.theta_samples, phi_samples=args.phi_samples,
-                )
-            else:
-                locus = constant_invariant_surface_ququart(
-                    which, value,
-                    theta_samples=args.theta_samples, phi_samples=args.phi_samples,
-                )
+    if n == 3:
+        if which == "t4":
+            raise ConfigError("t4 is not defined for n = 3")
+        if which == "t2":
+            locus = constant_t2_locus(3, value, samples=args.samples)
         else:
-            raise ConfigError("locus supports --n 3 or --n 4")
-    except (ValueError, DimensionError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+            locus = constant_t3_locus_qutrit(value, alpha_samples=args.samples)
+    elif n == 4:
+        if which == "t2":
+            locus = constant_t2_locus(
+                4, value,
+                theta_samples=args.theta_samples, phi_samples=args.phi_samples,
+            )
+        else:
+            locus = constant_invariant_surface_ququart(
+                which, value,
+                theta_samples=args.theta_samples, phi_samples=args.phi_samples,
+            )
+    else:
+        raise ConfigError("locus supports --n 3 or --n 4")
 
     # a curve has one parameter per node, a surface mesh a (theta, phi) pair
     if isinstance(locus, SurfaceMesh):
         lead = {"theta": locus.u, "phi": locus.v}
     else:
         lead = {"alpha": locus.parameter}
-    lead["r"] = np.full(locus.physical.shape, math.nan) if locus.radius is None else locus.radius
+    lead["r"] = locus.radius
     return _node_table(
         {name: col.ravel() for name, col in lead.items()},
         locus.points.reshape(-1, n),
@@ -581,7 +568,8 @@ def _validate_output(path: str, fmt: str, args) -> list:
         off_target = np.zeros_like(checked)
         if target is not None:
             ell, value = target
-            off_target = checked & (np.abs((p**ell).sum(axis=1) - value) > 1e-9)
+            defect = np.abs((p**ell).sum(axis=1) - value)
+            off_target = checked & (defect > DEFAULT.invariant_recheck)
     problems = []
     for i in np.flatnonzero(unreadable | nonfinite | off_simplex | off_target):
         row_number = int(i) + 2
@@ -617,6 +605,8 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gy", type=float, default=None)
     parser.add_argument("--gminus", dest="gminus_val", type=float, default=None)
     parser.add_argument("--gplus", dest="gplus_val", type=float, default=None)
+    parser.add_argument("--beta-grid", dest="beta_grid", default="0,log:1e-3:1e3:200",
+                        help="comma-separated numbers and log:/lin: lo:hi:count specs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,12 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thermal", help="thermal trajectory over a beta grid")
     _add_model(p)
-    p.add_argument("--beta-grid", dest="beta_grid", default="0,log:1e-3:1e3:200",
-                   help="comma-separated numbers and log:/lin: lo:hi:count specs")
     _add_common(p)
 
     p = sub.add_parser("phase-diagram", help="thermal map of the LMG coupling plane")
-    p.add_argument("--model", choices=("linear", "lmg"), default="lmg")
+    p.add_argument("--model", choices=("lmg",), default="lmg")
     p.add_argument("--J", dest="spin_text", required=True)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--beta", type=float, required=True)
@@ -673,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flower", help="permutation images of a thermal trajectory")
     _add_model(p)
-    p.add_argument("--beta-grid", dest="beta_grid", default="0,log:1e-3:1e3:200")
     _add_common(p)
 
     # let range values like "-6:6:200" pass as option arguments
@@ -687,19 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "spin_text"):
-        try:
-            args.spin = _parse_spin(args.spin_text)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-
+    # ConfigError and the library's DimensionError and PositivityError are
+    # all ValueErrors: each is a configuration error
     try:
+        if hasattr(args, "spin_text"):
+            args.spin = _parse_spin(args.spin_text)
         dataset = _BUILDERS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DimensionError, PositivityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

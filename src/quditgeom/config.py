@@ -13,8 +13,6 @@ from dataclasses import dataclass
 class Tolerances:
     #: slack on simplex membership: p_j in [-simplex, 1+simplex], |sum p - 1| <= simplex
     simplex: float = 1e-12
-    #: orthonormality of generators and frame vectors
-    frame: float = 1e-12
     #: accepted Hermiticity defect max|H - H^dagger|
     hermitian: float = 1e-10
     #: slack on characteristic-polynomial coefficients in the positivity test

@@ -2,15 +2,15 @@
 constant-invariant curves and surfaces, the t-space boundary, images of
 straight segments under the invariant map, and permutation copies.
 
-Radius conventions differ between the qutrit and ququart loci and follow
-the respective closed forms:
+Every polar locus is placed by the one map of
+:func:`quditgeom.representations.polar_to_p`,
+``p = p_e + s * sum_l c_l(angles) e_l``; only the scale s differs, and
+it follows the respective closed forms:
 
-* qutrit circle and cubic locus: the radius multiplies the unit frame
-  direction directly (Euclidean distance from the centroid), so physical
-  states satisfy ``0 <= r <= sqrt(2/3)``;
-* ququart surfaces: the radius uses the Bloch scale of
-  :func:`quditgeom.representations.polar_to_p` (displacement is
-  ``r/sqrt(2)`` times the unit direction), bounded by ``sqrt(3/2)``.
+* qutrit circle and cubic locus: s = r, the Euclidean distance from the
+  centroid, so physical states satisfy ``0 <= r <= sqrt(2/3)``;
+* ququart sphere and surfaces: s = r/sqrt(2), the Bloch scale of
+  ``polar_to_p``, bounded by ``sqrt(3/2)``.
 
 Out-of-simplex continuations are generated and flagged unphysical rather
 than dropped, so the dotted unphysical branches of the loci can be
@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import simplex_frame
 from .config import DEFAULT
 from .errors import DimensionError
 from .linalg import real_roots, real_roots_batch
-from .representations import invariants
+from .representations import _direction_cosines, _polar_points, invariants
 
 __all__ = [
     "ParamCurve",
@@ -88,10 +87,6 @@ class SurfaceMesh:
     meta: dict = field(default_factory=dict)
 
 
-def _vertices(n: int) -> np.ndarray:
-    return np.eye(n)
-
-
 def _check_locus_dimension(n: int) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 3:
         raise DimensionError(f"dimension must be an integer >= 3, got {n!r}")
@@ -107,7 +102,7 @@ def simplex_edges(n: int, samples: int = 512) -> list:
     if samples < 2:
         raise ValueError("need at least 2 samples per edge")
     x = np.linspace(0.0, 1.0, samples)
-    verts = _vertices(n)
+    verts = np.eye(n)
     curves = []
     for j in range(n - 1):
         for k in range(j + 1, n):
@@ -137,7 +132,7 @@ def simplex_medians(n: int, samples: int = 512) -> list:
         raise ValueError("need at least 2 samples")
     if n == 3:
         x = np.linspace(0.0, 1.0, samples)
-        verts = _vertices(3)
+        verts = np.eye(3)
         curves = []
         for j in range(3):
             k, ell = (i for i in range(3) if i != j)
@@ -195,39 +190,36 @@ def constant_t2_locus(n: int, t2: float, samples: int = 512, *,
         raise DimensionError(f"constant-purity loci are implemented for n in {{3, 4}}, got {n}")
     if not (1.0 / n - DEFAULT.simplex <= t2 <= 1.0 + DEFAULT.simplex):
         raise ValueError(f"t2 must lie in [1/{n}, 1], got {t2!r}")
-    frame = simplex_frame(n)
     if n == 3:
-        radius = math.sqrt(max(3.0 * t2 - 1.0, 0.0) / 3.0)
+        radius = np.full(samples, math.sqrt(max(3.0 * t2 - 1.0, 0.0) / 3.0))
         alpha = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        direction = np.outer(np.cos(alpha), frame.axes[0]) + np.outer(np.sin(alpha), frame.axes[1])
-        pts = frame.center + radius * direction
+        pts, physical = _polar_points(3, radius, _direction_cosines(3, (alpha,), "main"))
         return ParamCurve(
             space="p",
             points=pts,
             parameter=alpha,
-            physical=pts.min(axis=1) >= -DEFAULT.simplex,
+            physical=physical,
             label=f"t2={t2:g}",
-            radius=np.full(samples, radius),
+            radius=radius,
         )
-    radius = math.sqrt(max(4.0 * t2 - 1.0, 0.0) / 2.0)
+    tt, pp = _ququart_mesh(theta_samples, phi_samples)
+    radius = np.full(tt.shape, math.sqrt(max(4.0 * t2 - 1.0, 0.0) / 2.0))
+    return _ququart_surface(tt, pp, radius, f"t2={t2:g}")
+
+
+def _ququart_mesh(theta_samples: int, phi_samples: int) -> tuple:
+    """The (theta, phi) mesh of the ququart loci, theta along the first axis."""
     theta = np.linspace(0.0, math.pi, theta_samples)
     phi = np.linspace(0.0, 2.0 * math.pi, phi_samples, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    direction = (
-        np.multiply.outer(np.cos(pp) * np.sin(tt), frame.axes[0])
-        + np.multiply.outer(np.sin(pp) * np.sin(tt), frame.axes[1])
-        + np.multiply.outer(np.cos(tt), frame.axes[2])
-    )
-    pts = frame.center + (radius / math.sqrt(2.0)) * direction
-    return SurfaceMesh(
-        space="p",
-        u=tt,
-        v=pp,
-        points=pts,
-        physical=pts.min(axis=-1) >= -DEFAULT.simplex,
-        label=f"t2={t2:g}",
-        radius=np.full(tt.shape, radius),
-    )
+    return np.meshgrid(theta, phi, indexing="ij")
+
+
+def _ququart_surface(tt, pp, radius, label: str) -> SurfaceMesh:
+    """The ququart surface of Bloch-scale ``radius`` over the (theta, phi) mesh."""
+    cosines = _direction_cosines(4, (pp, tt), "main")
+    pts, physical = _polar_points(4, radius / math.sqrt(2.0), cosines)
+    return SurfaceMesh(space="p", u=tt, v=pp, points=pts, physical=physical,
+                       label=label, radius=radius)
 
 
 def _smallest_admissible_root(roots: np.ndarray, upper: float) -> np.ndarray:
@@ -266,14 +258,10 @@ def constant_t3_locus_qutrit(t3: float, alpha_samples: int = 512) -> ParamCurve:
     """
     if alpha_samples < 3:
         raise ValueError("need at least 3 angle samples")
-    frame = simplex_frame(3)
     alpha = np.linspace(0.0, 2.0 * math.pi, alpha_samples, endpoint=False)
     radius = np.array([qutrit_t3_radius(t3, a) for a in alpha])
-    beta = alpha + math.pi / 6.0
-    direction = np.outer(np.cos(beta), frame.axes[0]) + np.outer(np.sin(beta), frame.axes[1])
-    pts = frame.center + radius[:, None] * direction
-    found = np.isfinite(radius)
-    physical = found & (np.where(found[:, None], pts, 0.0).min(axis=1) >= -DEFAULT.simplex)
+    cosines = _direction_cosines(3, (alpha + math.pi / 6.0,), "main")
+    pts, physical = _polar_points(3, radius, cosines)
     return ParamCurve(
         space="p",
         points=pts,
@@ -316,10 +304,7 @@ def constant_invariant_surface_ququart(which: str, value: float, *,
         raise ValueError(f"which must be 't3' or 't4', got {which!r}")
     if not (lo - DEFAULT.simplex <= value <= 1.0 + DEFAULT.simplex):
         raise ValueError(f"{which} must lie in [{lo:g}, 1], got {value!r}")
-    frame = simplex_frame(4)
-    theta = np.linspace(0.0, math.pi, theta_samples)
-    phi = np.linspace(0.0, 2.0 * math.pi, phi_samples, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    tt, pp = _ququart_mesh(theta_samples, phi_samples)
     a3, b4 = _ququart_angular_coefficients(tt.ravel(), pp.ravel())
     if which == "t3":
         columns = (1.0 / 16.0 - value, 0.0, 3.0 / 8.0, a3 / 96.0)
@@ -327,23 +312,7 @@ def constant_invariant_surface_ququart(which: str, value: float, *,
         columns = (1.0 / 64.0 - value, 0.0, 3.0 / 16.0, a3 / 96.0, b4 / 384.0)
     coeffs = np.column_stack(np.broadcast_arrays(*columns))
     radius = _smallest_admissible_root(real_roots_batch(coeffs), QUQUART_RADIUS_MAX).reshape(tt.shape)
-    direction = (
-        np.multiply.outer(np.cos(pp) * np.sin(tt), frame.axes[0])
-        + np.multiply.outer(np.sin(pp) * np.sin(tt), frame.axes[1])
-        + np.multiply.outer(np.cos(tt), frame.axes[2])
-    )
-    pts = frame.center + (radius[..., None] / math.sqrt(2.0)) * direction
-    found = np.isfinite(radius)
-    physical = found & (np.where(found[..., None], pts, 0.0).min(axis=-1) >= -DEFAULT.simplex)
-    return SurfaceMesh(
-        space="p",
-        u=tt,
-        v=pp,
-        points=pts,
-        physical=physical,
-        label=f"{which}={value:g}",
-        radius=radius,
-    )
+    return _ququart_surface(tt, pp, radius, f"{which}={value:g}")
 
 
 def _two_equal_upper(t2):

@@ -113,7 +113,7 @@ def check_probability_vector(p, tol: float | None = None, *, name: str = "p") ->
     if bad.any():
         idx = tuple(np.argwhere(bad)[0])
         raise PositivityError(
-            f"{name}[{idx[-1] + 1}] = {p[idx]!r} lies outside [0, 1]",
+            f"{name}[{idx[-1] + 1}] = {float(p[idx])!r} lies outside [0, 1]",
             component=int(idx[-1]) + 1,
             value=float(p[idx]),
         )
@@ -174,37 +174,44 @@ def t_vertices(n: int) -> np.ndarray:
     return 1.0 / k**ell
 
 
-def _direction_cosines(n: int, angles, convention: str) -> np.ndarray:
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if n == 2:
-        if angles.size != 0:
-            raise ValueError("n = 2 takes no angles")
-        return np.array([1.0])
-    if angles.shape != (n - 2,):
-        raise ValueError(f"expected {n - 2} angles for n = {n}, got {angles.shape}")
-    if n == 3:
-        alpha = angles[0]
-        return np.array([math.cos(alpha), math.sin(alpha)])
-    if convention == "main" and n == 4:
-        # angle order (phi, theta): cos(theta) multiplies the last axis
-        phi, theta = angles
-        return np.array(
-            [
-                math.cos(phi) * math.sin(theta),
-                math.sin(phi) * math.sin(theta),
-                math.cos(theta),
-            ]
-        )
+def _direction_cosines(n: int, angles, convention: str) -> list:
+    """The n - 1 unit direction cosines ``c_l`` of the n - 2 polar angles.
+
+    ``angles`` holds n - 2 numbers or arrays that broadcast together, and
+    every cosine has their broadcast shape.  ``"main"`` at n = 4 takes
+    ``(phi, theta)`` with ``cos(theta)`` on the last axis; every other case
+    is hyperspherical, with ``cos(theta_1)`` on the first axis.
+    """
     if convention not in ("main", "appendix"):
         raise ValueError(f"unknown angle convention {convention!r}")
-    # hyperspherical ordering: cos(theta_1) multiplies the first axis
-    c = np.empty(n - 1)
+    if len(angles) != n - 2:
+        raise ValueError(f"expected {n - 2} angles for n = {n}, got {len(angles)}")
+    if convention == "main" and n == 4:
+        phi, theta = angles
+        return [np.cos(phi) * np.sin(theta), np.sin(phi) * np.sin(theta), np.cos(theta)]
+    cosines = []
     running = 1.0
-    for i in range(n - 2):
-        c[i] = running * math.cos(angles[i])
-        running *= math.sin(angles[i])
-    c[n - 2] = running
-    return c
+    for angle in angles:
+        cosines.append(running * np.cos(angle))
+        running = running * np.sin(angle)
+    return cosines + [running]
+
+
+def _polar_points(n: int, scale, cosines, tol: float | None = None) -> tuple:
+    """``p = p_e + scale * sum_l c_l e_l`` on the simplex frame, and its flag.
+
+    ``scale`` is an array and the cosines broadcast to its shape; ``p`` has
+    that shape plus a last axis of n.  A point is physical when its scale
+    is finite and no component falls below ``-tol`` (a NaN component fails
+    that test too).
+    """
+    tol = DEFAULT.simplex if tol is None else tol
+    frame = simplex_frame(n)
+    direction = sum(map(np.multiply.outer, cosines, frame.axes))
+    p = frame.center + scale[..., None] * direction
+    finite = np.isfinite(scale)
+    physical = finite & (np.where(finite[..., None], p, 0.0).min(axis=-1) >= -tol)
+    return p, physical
 
 
 def polar_to_p(n: int, r: float, angles=(), *, convention: str = "main",
@@ -223,14 +230,15 @@ def polar_to_p(n: int, r: float, angles=(), *, convention: str = "main",
     Out-of-simplex results are returned with ``physical=False`` rather
     than raising, so curves may be continued beyond the physical region.
     """
-    frame = simplex_frame(n)
+    n = simplex_frame(n).n  # rejects a bad dimension before anything else
     if not np.isfinite(r) or r < 0:
         raise ValueError(f"radius must be finite and >= 0, got {r!r}")
-    tol = DEFAULT.simplex if tol is None else tol
-    c = _direction_cosines(n, angles, convention)
-    p = frame.center + (r / math.sqrt(2.0)) * (c @ frame.axes)
-    physical = bool(p.min() >= -tol)
-    return SimplexPoint(p=p, physical=physical)
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if angles.ndim != 1 or not np.all(np.isfinite(angles)):
+        raise ValueError(f"angles must be a flat sequence of finite numbers, got {angles!r}")
+    cosines = _direction_cosines(n, angles, convention)
+    p, physical = _polar_points(n, np.asarray(r / math.sqrt(2.0)), cosines, tol)
+    return SimplexPoint(p=p, physical=bool(physical))
 
 
 def positivity_check(matrix, *, hermitian_tol: float | None = None,

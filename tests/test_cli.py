@@ -331,6 +331,36 @@ class TestErrorPaths:
         ])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, message", [
+        (["locus", "--n", "3", "--t3", "0.01"], "t3 must lie in [1/9, 1], got 0.01"),
+        (["locus", "--n", "5", "--t2", "0.5"], "locus supports --n 3 or --n 4"),
+        (["locus", "--n", "3", "--t4", "0.1"], "t4 is not defined for n = 3"),
+        (["thermal", "--model", "lmg", "--J", "1", "--gx", "nan", "--beta-grid", "0"],
+         "couplings must be finite"),
+        (["thermal", "--model", "linear", "--J", "0.3"],
+         "2J must be a positive integer, got '0.3'"),
+        (["frame", "--n", "1"], "dimension must be >= 2, got 1"),
+        (["phase-diagram", "--J", "2", "--beta", "1", "--gminus", "0", "--gplus", "0"],
+         "closed forms exist only for J in {1, 3/2}, got J = 2"),
+        (["map", "--n", "3", "--point", "0.5,0.6,-0.1"],
+         "point '0.5,0.6,-0.1' is not a probability vector: p[3] = -0.1 lies outside [0, 1]"),
+    ], ids=["t3-range", "locus-n", "t4-qutrit", "nan-coupling", "spin", "frame-n",
+            "closed-form-J", "map-point"])
+    def test_configuration_errors_print_one_line_and_exit_two(self, tmp_path, capsys,
+                                                               argv, message):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_phase_diagram_refuses_linear_model_while_parsing(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "phase-diagram", "--model", "linear", "--J", "1", "--beta", "1",
+                "--gminus", "0", "--gplus", "0", "--out", str(tmp_path / "x.csv"),
+            ])
+        assert excinfo.value.code == EXIT_CONFIG
+
     def test_all_nodes_failing_exits_four(self, tmp_path, monkeypatch):
         import quditgeom.cli as cli_mod
         from quditgeom.curves import ParamCurve

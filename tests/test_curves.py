@@ -14,6 +14,7 @@ from quditgeom import (
     linear_spectrum,
     p_to_lambda,
     permutation_images,
+    polar_to_p,
     qutrit_t3_radius,
     simplex_edges,
     simplex_medians,
@@ -333,3 +334,35 @@ def test_permuted_images_rotate_by_two_pi_thirds():
     # u = (p3, p1, p2) places each occupation one slot later
     rotated = p_to_lambda(copies[(2, 0, 1)].points)
     assert np.abs(rotated - lam @ rotation.T).max() < 1e-12
+
+
+@pytest.mark.parametrize("locus, frame_offset", [
+    (constant_t2_locus(3, 0.6, samples=24), 0.0),
+    (constant_t3_locus_qutrit(0.3, alpha_samples=24), math.pi / 6),
+    (constant_t3_locus_qutrit(0.8, alpha_samples=24), math.pi / 6),
+])
+def test_qutrit_locus_nodes_are_polar_points(locus, frame_offset):
+    # the qutrit radius is Euclidean: r_Bloch = sqrt(2) * radius
+    found = np.isfinite(locus.radius)
+    assert found.any()
+    for alpha, radius, p, physical in zip(locus.parameter[found], locus.radius[found],
+                                          locus.points[found], locus.physical[found]):
+        point = polar_to_p(3, math.sqrt(2.0) * radius, (alpha + frame_offset,))
+        np.testing.assert_allclose(point.p, p, rtol=0, atol=1e-15)
+        assert point.physical == physical
+
+
+@pytest.mark.parametrize("locus", [
+    constant_t2_locus(4, 0.5, theta_samples=9, phi_samples=12),
+    constant_invariant_surface_ququart("t3", 0.2, theta_samples=9, phi_samples=12),
+    constant_invariant_surface_ququart("t4", 0.1, theta_samples=9, phi_samples=12),
+])
+def test_ququart_locus_nodes_are_polar_points(locus):
+    found = np.isfinite(locus.radius)
+    assert found.any()
+    for theta, phi, radius, p, physical in zip(locus.u[found], locus.v[found],
+                                               locus.radius[found], locus.points[found],
+                                               locus.physical[found]):
+        point = polar_to_p(4, radius, (phi, theta))
+        np.testing.assert_allclose(point.p, p, rtol=0, atol=1e-15)
+        assert point.physical == physical

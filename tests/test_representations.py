@@ -9,6 +9,7 @@ from quditgeom import (
     PositivityError,
     bloch_bound,
     build_generators,
+    check_probability_vector,
     invariants,
     lambda_to_p,
     orbit_classification,
@@ -75,6 +76,11 @@ def test_lambda_to_p_known_points():
     np.testing.assert_allclose(lambda_to_p([1.0, 1.0 / SQ3]), [1, 0, 0], atol=1e-15)
     np.testing.assert_allclose(lambda_to_p([0.0, -2.0 / SQ3]), [0, 0, 1], atol=1e-15)
     np.testing.assert_allclose(lambda_to_p([0.0, 0.0, 0.0]), np.full(4, 0.25), atol=1e-15)
+
+
+def test_positivity_error_prints_the_component_as_a_plain_float():
+    with pytest.raises(PositivityError, match=r"^p\[3\] = -0\.1 lies outside \[0, 1\]$"):
+        check_probability_vector(np.array([0.5, 0.6, -0.1]))
 
 
 def test_lambda_to_p_names_offending_component():
@@ -195,6 +201,21 @@ class TestPolar:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             polar_to_p(3, -0.1, (0.0,))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_unknown_convention_rejected(self, n):
+        with pytest.raises(ValueError, match="unknown angle convention 'bogus'"):
+            polar_to_p(n, 0.3, (0.1,) * (n - 2), convention="bogus")
+
+    @pytest.mark.parametrize("n, count", [(2, 1), (3, 0), (3, 2), (4, 1), (4, 3), (5, 2), (5, 4)])
+    def test_wrong_angle_count_rejected(self, n, count):
+        with pytest.raises(ValueError, match=f"expected {n - 2} angles for n = {n}, got {count}"):
+            polar_to_p(n, 0.3, (0.1,) * count)
+
+    @pytest.mark.parametrize("angles", [(math.nan, 0.2), (math.inf, 0.2), ((0.1, 0.2),)])
+    def test_non_finite_or_nested_angles_rejected(self, angles):
+        with pytest.raises(ValueError, match="flat sequence of finite numbers"):
+            polar_to_p(4, 0.3, angles)
 
     def test_appendix_convention_differs_for_ququart(self):
         main = polar_to_p(4, 0.5, (0.4, 1.2), convention="main")
