@@ -62,6 +62,11 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
+#: slack on simplex membership for p read from text (``--point`` values and
+#: the file re-read by ``--validate``): decimals typed or rounded by hand,
+#: such as 0.333333333 for 1/3, miss the simplex by more than ``DEFAULT.simplex``
+_TEXT_SIMPLEX_SLACK = 1e-9
+
 
 class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 2)."""
@@ -148,8 +153,6 @@ def _parse_beta_grid(text: str) -> np.ndarray:
             except ValueError as exc:
                 raise ConfigError(f"cannot parse beta value {item!r}") from exc
     grid = np.unique(np.concatenate(values))
-    if grid.size == 0:
-        raise ConfigError("beta grid is empty")
     if grid[0] < 0 or not np.all(np.isfinite(grid)):
         raise ConfigError("beta values must be finite and >= 0")
     return grid
@@ -191,21 +194,21 @@ def _lmg_params_from_args(args) -> LMGParams:
 # dataset builders
 
 
-def _node_table(lead: dict, p, *, lam=None, t=None, physical=None) -> Dataset:
+def _node_table(lead: dict, p, *, physical=None) -> Dataset:
     """A dataset of ``lead`` columns, then p, lambda, t and physical.
 
-    ``p`` holds one state per row.  lambda and t are derived from the whole
-    block at once unless given.  Rows whose p is not all finite are masked
-    nodes: their state columns are NaN, their physical flag is 0 and they
-    count as failed.  ``physical`` defaults to 1 on every unmasked row.
+    ``p`` holds one state per row; lambda and t are derived from the whole
+    block at once.  Rows whose p is not all finite are masked nodes: their
+    state columns are NaN, their physical flag is 0 and they count as
+    failed.  ``physical`` defaults to 1 on every unmasked row.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[1]
     masked = ~np.isfinite(p).all(axis=1)
     if masked.any():
         p = np.where(masked[:, None], np.nan, p)
-    lam = p_to_lambda(p, validate=False) if lam is None else lam
-    t = invariants(p, validate=False) if t is None else t
+    lam = p_to_lambda(p, validate=False)
+    t = invariants(p, validate=False)
     flags = np.ones(len(p), dtype=np.int64) if physical is None else physical.astype(np.int64)
     flags[masked] = 0
     columns = dict(lead)
@@ -255,7 +258,7 @@ def _build_map(args) -> Dataset:
             if vec.size != n:
                 raise ConfigError(f"point {text!r} has {vec.size} entries, expected {n}")
             try:
-                check_probability_vector(vec, tol=1e-9)
+                check_probability_vector(vec, tol=_TEXT_SIMPLEX_SLACK)
             except ValueError as exc:
                 raise ConfigError(f"point {text!r} is not a probability vector: {exc}") from exc
             pts.append(vec)
@@ -270,7 +273,7 @@ def _build_map(args) -> Dataset:
 def _build_thermal(args) -> Dataset:
     spectrum = _spectrum_from_args(args)
     traj = trajectory(spectrum, _parse_beta_grid(args.beta_grid))
-    return _node_table({"beta": traj.beta}, traj.p, lam=traj.lam, t=traj.t)
+    return _node_table({"beta": traj.beta}, traj.p)
 
 
 def _build_phase_diagram(args) -> Dataset:
@@ -283,7 +286,7 @@ def _build_phase_diagram(args) -> Dataset:
         args.spin, g_first, g_second, beta=beta, omega=args.omega, coords=args.coords
     )
     lead = {"gminus": grid.g_minus, "gplus": grid.g_plus, "region": grid.region}
-    return _node_table(lead, grid.p, lam=grid.lam, t=grid.t)
+    return _node_table(lead, grid.p)
 
 
 def _build_locus(args) -> Dataset:
@@ -564,7 +567,8 @@ def _validate_output(path: str, fmt: str, args) -> list:
     nonfinite = physical & ~unreadable & ~np.isfinite(p).all(axis=1)
     checked = physical & ~unreadable & ~nonfinite
     with np.errstate(invalid="ignore", over="ignore"):  # unchecked rows may hold anything
-        off_simplex = checked & ((np.abs(p.sum(axis=1) - 1.0) > 1e-9) | (p.min(axis=1) < -1e-9))
+        off_simplex = checked & ((np.abs(p.sum(axis=1) - 1.0) > _TEXT_SIMPLEX_SLACK)
+                                 | (p.min(axis=1) < -_TEXT_SIMPLEX_SLACK))
         off_target = np.zeros_like(checked)
         if target is not None:
             ell, value = target
@@ -693,29 +697,20 @@ def main(argv=None) -> int:
 
     try:
         _write_outputs(args.out, args, dataset)
+        if dataset.failed_nodes:
+            print(
+                f"note: {dataset.failed_nodes} of {len(dataset)} nodes had no "
+                "admissible solution and were masked",
+                file=sys.stderr,
+            )
+        problems = _validate_output(args.out, args.format, args) if args.validate else []
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if dataset.failed_nodes:
-        print(
-            f"note: {dataset.failed_nodes} of {len(dataset)} nodes had no "
-            "admissible solution and were masked",
-            file=sys.stderr,
-        )
-
-    if args.validate:
-        try:
-            problems = _validate_output(args.out, args.format, args)
-        except OSError as exc:
-            print(f"io-error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        if problems:
-            for problem in problems[:20]:
-                print(f"validate: {problem}", file=sys.stderr)
-            return EXIT_NUMERICAL
-
-    return EXIT_OK
+    for problem in problems[:20]:
+        print(f"validate: {problem}", file=sys.stderr)
+    return EXIT_NUMERICAL if problems else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,9 +1,14 @@
-"""Centralized numeric tolerances.
+"""Shared numeric tolerances.
 
-Every tolerance used by the library lives in this one record so that
-tests, validators and the CLI agree on what "equal" and "nonnegative"
+The tolerances that several functions, tests and validators share live in
+this one record, so that they agree on what "equal" and "nonnegative"
 mean.  Callers may pass their own values to individual functions; the
 module-level ``DEFAULT`` instance supplies the defaults.
+
+A few fixed slacks that serve one site each are literals there instead:
+the CLI's simplex slack for p read from text (``cli._TEXT_SIMPLEX_SLACK``),
+the 1e-10 root slack of ``curves._smallest_admissible_root`` and the 1e-12
+test that 2J is an integer (``models._check_spin`` and ``cli._parse_spin``).
 """
 
 from dataclasses import dataclass

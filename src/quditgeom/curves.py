@@ -2,6 +2,10 @@
 constant-invariant curves and surfaces, the t-space boundary, images of
 straight segments under the invariant map, and permutation copies.
 
+The straight families (simplex edges, qutrit medians and the p-space
+segments behind the t-space segment images) all come from one segment
+map, ``p(x) = start + (end - start) x``, and are physical throughout.
+
 Every polar locus is placed by the one map of
 :func:`quditgeom.representations.polar_to_p`,
 ``p = p_e + s * sum_l c_l(angles) e_l``; only the scale s differs, and
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,6 +97,12 @@ def _check_locus_dimension(n: int) -> int:
     return int(n)
 
 
+def _segment(start, end, x, label: str) -> ParamCurve:
+    """The p-space segment ``p(x) = start + (end - start) x``, all physical."""
+    return ParamCurve(space="p", points=start + np.outer(x, end - start), parameter=x,
+                      physical=np.ones(x.size, dtype=bool), label=label)
+
+
 def simplex_edges(n: int, samples: int = 512) -> list:
     """One segment per vertex pair: all states with one zero eigenvalue.
 
@@ -103,20 +113,8 @@ def simplex_edges(n: int, samples: int = 512) -> list:
         raise ValueError("need at least 2 samples per edge")
     x = np.linspace(0.0, 1.0, samples)
     verts = np.eye(n)
-    curves = []
-    for j in range(n - 1):
-        for k in range(j + 1, n):
-            pts = verts[j] + np.outer(x, verts[k] - verts[j])
-            curves.append(
-                ParamCurve(
-                    space="p",
-                    points=pts,
-                    parameter=x,
-                    physical=np.ones(samples, dtype=bool),
-                    label=f"edge-{j + 1}{k + 1}",
-                )
-            )
-    return curves
+    return [_segment(verts[j], verts[k], x, f"edge-{j + 1}{k + 1}")
+            for j, k in itertools.combinations(range(n), 2)]
 
 
 def simplex_medians(n: int, samples: int = 512) -> list:
@@ -132,22 +130,8 @@ def simplex_medians(n: int, samples: int = 512) -> list:
         raise ValueError("need at least 2 samples")
     if n == 3:
         x = np.linspace(0.0, 1.0, samples)
-        verts = np.eye(3)
-        curves = []
-        for j in range(3):
-            k, ell = (i for i in range(3) if i != j)
-            target = (verts[k] + verts[ell]) / 2.0
-            pts = verts[j] + np.outer(x, target - verts[j])
-            curves.append(
-                ParamCurve(
-                    space="p",
-                    points=pts,
-                    parameter=x,
-                    physical=np.ones(samples, dtype=bool),
-                    label=f"median-{j + 1}",
-                )
-            )
-        return curves
+        return [_segment(vertex, (1.0 - vertex) / 2.0, x, f"median-{j + 1}")
+                for j, vertex in enumerate(np.eye(3))]
     if n == 4:
         u = np.linspace(0.0, 1.0, samples)
         v = np.linspace(0.0, 1.0, samples)
@@ -315,16 +299,8 @@ def constant_invariant_surface_ququart(which: str, value: float, *,
     return _ququart_surface(tt, pp, radius, f"{which}={value:g}")
 
 
-def _two_equal_upper(t2):
-    return t2 - 2.0 / 9.0 + (3.0 * t2 - 1.0) ** 1.5 / (9.0 * math.sqrt(2.0))
-
-
-def _two_equal_lower(t2):
-    return t2 - 2.0 / 9.0 - (3.0 * t2 - 1.0) ** 1.5 / (9.0 * math.sqrt(2.0))
-
-
-def _zero_eigenvalue_line(t2):
-    return (3.0 * t2 - 1.0) / 2.0
+def _two_equal(t2, sign):
+    return t2 - 2.0 / 9.0 + sign * (3.0 * t2 - 1.0) ** 1.5 / (9.0 * math.sqrt(2.0))
 
 
 def t_space_boundary_qutrit(t2_samples: int = 512) -> tuple:
@@ -344,12 +320,11 @@ def t_space_boundary_qutrit(t2_samples: int = 512) -> tuple:
     left = 0.5
     zero_t2 = np.linspace(left, 1.0, t2_samples)
     pieces = []
-    for name, grid, fn in (
-        ("two-equal-upper", upper_t2, _two_equal_upper),
-        ("two-equal-lower", lower_t2, _two_equal_lower),
-        ("zero-eigenvalue", zero_t2, _zero_eigenvalue_line),
+    for name, grid, t3 in (
+        ("two-equal-upper", upper_t2, _two_equal(upper_t2, 1.0)),
+        ("two-equal-lower", lower_t2, _two_equal(lower_t2, -1.0)),
+        ("zero-eigenvalue", zero_t2, (3.0 * zero_t2 - 1.0) / 2.0),
     ):
-        t3 = fn(grid)
         pieces.append(
             ParamCurve(
                 space="t",
@@ -406,9 +381,8 @@ def lambda_segment_images(samples: int = 512) -> list:
         ("center-to-midpoint", (0.0, 1.0), center, midpoint),
         ("midpoint-to-vertex", (0.5, 1.0), np.array([0.0, 1.0, 0.0]), vertex),
     ):
-        x = np.linspace(xlo, xhi, samples)
-        p = start + np.outer(x, end - start)
-        t = invariants(p)
+        segment = _segment(start, end, np.linspace(xlo, xhi, samples), label)
+        x, t = segment.parameter, invariants(segment.points)
         f2, f3, printed = _SEGMENT_FORMS[label]
         printed_points = np.column_stack([f2(x), f3(x)])
         matches = bool(np.max(np.abs(printed_points - t)) <= 1e-12)
@@ -418,16 +392,7 @@ def lambda_segment_images(samples: int = 512) -> list:
                 "closed form in circulation disagrees with the invariant map; "
                 "the verified curve is emitted"
             )
-        curves.append(
-            ParamCurve(
-                space="t",
-                points=t,
-                parameter=x,
-                physical=np.ones(samples, dtype=bool),
-                label=label,
-                meta=meta,
-            )
-        )
+        curves.append(replace(segment, space="t", points=t, meta=meta))
     return curves
 
 

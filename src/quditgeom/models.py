@@ -165,10 +165,7 @@ def angular_momentum(j) -> AngularMomentum:
     dim = int(round(2 * j)) + 1
     m = j - np.arange(dim)
     jz = np.diag(m).astype(complex)
-    jplus = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - 1):
-        mm = m[i + 1]
-        jplus[i, i + 1] = math.sqrt(j * (j + 1) - mm * (mm + 1))
+    jplus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     jx = (jplus + jplus.conj().T) / 2.0
     jy = (jplus - jplus.conj().T) / 2.0j
     for arr in (jx, jy, jz):

@@ -385,6 +385,20 @@ class TestErrorPaths:
         assert code == EXIT_NUMERICAL
 
 
+    def test_failed_validate_read_exits_three(self, tmp_path, monkeypatch, capsys):
+        import quditgeom.cli as cli_mod
+
+        def unreadable(path, fmt):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(cli_mod, "_read_columns", unreadable)
+        out = tmp_path / "grid.csv"
+        code = main(["map", "--n", "3", "--grid", "4", "--validate", "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "io-error: [Errno 5] Input/output error\n"
+        assert sorted(os.listdir(tmp_path)) == ["grid.csv", "grid.csv.meta.json"]
+
+
 class TestWriters:
     FLOATS = [-0.0, math.nan, 5e-324, 1e-5, 1e16, 0.1, -2.5, 1 / 3, math.nan, 1e-5]
     LABELS = ["a", 'q"uote', "c,omma", "", "II", "line\nbreak", "a", "boundary", "b", "a"]

@@ -52,6 +52,29 @@ class TestEdgesAndMedians:
                 start + x * (end - start), np.full(3, 1 / 3), atol=1e-15
             )
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_edges_are_the_segment_map(self, n):
+        x = np.linspace(0.0, 1.0, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = simplex_edges(n, samples=7)
+        assert [c.label for c in edges] == [f"edge-{j + 1}{k + 1}" for j, k in pairs]
+        for curve, (j, k) in zip(edges, pairs):
+            start, end = np.eye(n)[j], np.eye(n)[k]
+            assert np.array_equal(curve.points, start + np.outer(x, end - start))
+            assert np.array_equal(curve.parameter, x)
+            assert curve.physical.all() and curve.space == "p"
+
+    def test_medians_are_the_segment_map(self):
+        x = np.linspace(0.0, 1.0, 5)
+        medians = simplex_medians(3, samples=5)
+        assert [c.label for c in medians] == ["median-1", "median-2", "median-3"]
+        for j, curve in enumerate(medians):
+            start = np.eye(3)[j]
+            end = (1.0 - start) / 2.0
+            assert np.array_equal(curve.points, start + np.outer(x, end - start))
+            assert np.array_equal(curve.parameter, x)
+            assert curve.physical.all() and curve.space == "p"
+
     def test_ququart_equal_pair_planes(self):
         meshes = simplex_medians(4, samples=9)
         assert len(meshes) == 6
