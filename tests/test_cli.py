@@ -384,7 +384,6 @@ class TestErrorPaths:
         ])
         assert code == EXIT_NUMERICAL
 
-
     def test_failed_validate_read_exits_three(self, tmp_path, monkeypatch, capsys):
         import quditgeom.cli as cli_mod
 

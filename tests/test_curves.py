@@ -70,7 +70,8 @@ class TestEdgesAndMedians:
         assert [c.label for c in medians] == ["median-1", "median-2", "median-3"]
         for j, curve in enumerate(medians):
             start = np.eye(3)[j]
-            end = (1.0 - start) / 2.0
+            end = np.full(3, 0.5)  # the midpoint of the opposite edge
+            end[j] = 0.0
             assert np.array_equal(curve.points, start + np.outer(x, end - start))
             assert np.array_equal(curve.parameter, x)
             assert curve.physical.all() and curve.space == "p"
