@@ -43,11 +43,12 @@ __all__ = [
 ]
 
 
-def _check_dimension(n) -> int:
+def _check_dimension(n, minimum: int = 2) -> int:
+    """``n`` as an int, or a :class:`DimensionError` unless it is an integer >= ``minimum``."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DimensionError(f"dimension must be an integer >= 2, got {n!r}")
-    if n < 2:
-        raise DimensionError(f"dimension must be >= 2, got {n}")
+        raise DimensionError(f"dimension must be an integer >= {minimum}, got {n!r}")
+    if n < minimum:
+        raise DimensionError(f"dimension must be >= {minimum}, got {n}")
     return int(n)
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .basis import simplex_frame
+from .basis import _check_dimension, simplex_frame
 from .curves import (
     ParamCurve,
     SurfaceMesh,
@@ -178,7 +178,7 @@ def _spectrum_from_args(args):
 
 def _lmg_params_from_args(args) -> LMGParams:
     has_xy = args.gx is not None or args.gy is not None
-    has_pm = getattr(args, "gminus_val", None) is not None or getattr(args, "gplus_val", None) is not None
+    has_pm = args.gminus_val is not None or args.gplus_val is not None
     if has_xy and has_pm:
         raise ConfigError("give either --gx/--gy or --gminus/--gplus, not both")
     if has_pm:
@@ -247,7 +247,7 @@ def _barycentric_grid(n: int, divisions: int) -> np.ndarray:
 
 
 def _build_map(args) -> Dataset:
-    n = args.n
+    n = _check_dimension(args.n)
     if args.point:
         pts = []
         for text in args.point:
@@ -280,7 +280,7 @@ def _build_phase_diagram(args) -> Dataset:
     g_first = _parse_range(args.gminus)
     g_second = _parse_range(args.gplus)
     beta = args.beta
-    if beta is None or beta < 0 or not math.isfinite(beta):
+    if beta < 0 or not math.isfinite(beta):
         raise ConfigError("phase-diagram needs a finite --beta >= 0")
     grid = phase_grid(
         args.spin, g_first, g_second, beta=beta, omega=args.omega, coords=args.coords

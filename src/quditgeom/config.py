@@ -20,8 +20,9 @@ class Tolerances:
     simplex: float = 1e-12
     #: accepted Hermiticity defect max|H - H^dagger|
     hermitian: float = 1e-10
-    #: slack on characteristic-polynomial coefficients in the positivity test
-    positivity: float = 1e-10
+    #: slack on each characteristic-polynomial coefficient in the positivity
+    #: test, relative to the summed magnitude of the terms of its Newton step
+    positivity: float = 1e-12
     #: eigenvalue clustering threshold, relative to the largest eigenvalue
     degeneracy: float = 1e-9
     #: allowed defect when a generated locus is re-checked through the invariants

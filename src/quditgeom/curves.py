@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .basis import _check_dimension
 from .config import DEFAULT
 from .errors import DimensionError
 from .linalg import real_roots, real_roots_batch
@@ -91,12 +92,6 @@ class SurfaceMesh:
     meta: dict = field(default_factory=dict)
 
 
-def _check_locus_dimension(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 3:
-        raise DimensionError(f"dimension must be an integer >= 3, got {n!r}")
-    return int(n)
-
-
 def _segment(start, end, x, label: str) -> ParamCurve:
     """The p-space segment ``p(x) = start + (end - start) x``, all physical."""
     return ParamCurve(space="p", points=start + np.outer(x, end - start), parameter=x,
@@ -108,7 +103,7 @@ def simplex_edges(n: int, samples: int = 512) -> list:
 
     ``p(x) = p_j + (p_k - p_j) x`` for x in [0, 1] and every j < k.
     """
-    n = _check_locus_dimension(n)
+    n = _check_dimension(n, minimum=3)
     if samples < 2:
         raise ValueError("need at least 2 samples per edge")
     x = np.linspace(0.0, 1.0, samples)
@@ -125,7 +120,7 @@ def simplex_medians(n: int, samples: int = 512) -> list:
     ``p_m = p_l`` cuts the tetrahedron in a plane, returned as a mesh
     parametrized by the two remaining probabilities.
     """
-    n = _check_locus_dimension(n)
+    n = _check_dimension(n, minimum=3)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if n == 3:
@@ -169,7 +164,7 @@ def constant_t2_locus(n: int, t2: float, samples: int = 512, *,
     Bloch-scale radius is ``sqrt((4 t2 - 1)/2)`` and a (theta, phi) mesh is
     returned.  Points escaping the simplex are flagged unphysical.
     """
-    n = _check_locus_dimension(n)
+    n = _check_dimension(n, minimum=3)
     if n not in (3, 4):
         raise DimensionError(f"constant-purity loci are implemented for n in {{3, 4}}, got {n}")
     if not (1.0 / n - DEFAULT.simplex <= t2 <= 1.0 + DEFAULT.simplex):

@@ -15,9 +15,11 @@ regions with fixed energy ordering, separated by the curves where the
 ground pair (or the top pair) becomes degenerate.
 
 Phase sweeps run as one batched kernel, :func:`phase_grid`: the closed
-forms, the stable level ordering, the degeneracy test, the Gibbs
-occupations and the lambda and t images all broadcast over the whole
-coupling grid, whose nodes come out in row-major order (first grid outer).
+forms, the stable level ordering, the degeneracy test and the Gibbs
+occupations all broadcast over the whole coupling grid, whose nodes come
+out in row-major order (first grid outer).  The lambda and t images of
+the occupations are derived from them on first access, in one call each
+over the whole grid.
 :func:`classify_region`, :func:`label_ordered_occupations` and the
 analytic branch of :func:`lmg_spectrum` call the same helpers on one row.
 """
@@ -31,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import DimensionError
-from .representations import invariants, p_to_lambda
+from .representations import _DerivedCoordinates, check_probability_vector
 from .thermal import Spectrum, _check_beta, _occupations
 
 __all__ = [
@@ -133,14 +135,15 @@ class PhasePoint:
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseGrid:
+class PhaseGrid(_DerivedCoordinates):
     """Columns of a thermal phase sweep, one row per coupling-grid node.
 
     Rows run over the grid in row-major order (first grid outer).
     ``order[i]`` lists the level labels (1-based) by ascending energy and
     ``degenerate[i, k]`` flags the label pair ``pairs[k]``; a row with any
     flag set has ``region[i] == "boundary"``.  ``p`` holds the occupations
-    in fixed label order, ``lam`` and ``t`` its lambda and t images.
+    in fixed label order; ``lam`` and ``t``, its lambda and t images, are
+    derived from ``p`` on first access.
     """
 
     g_x: np.ndarray
@@ -152,8 +155,6 @@ class PhaseGrid:
     degenerate: np.ndarray
     pairs: tuple
     p: np.ndarray
-    lam: np.ndarray
-    t: np.ndarray
 
     def __len__(self) -> int:
         return int(self.region.size)
@@ -359,8 +360,10 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
 
     The batched form of :func:`phase_sweep`, with the same arguments and
     checks: the closed forms are evaluated once per node, the levels are
-    sorted with one stable argsort, and one validated :func:`p_to_lambda`
-    and one validated :func:`invariants` call cover the whole grid.
+    sorted with one stable argsort, and the occupations of the whole grid
+    are validated once.  Their lambda and t images are derived from them
+    on first access, by one :func:`p_to_lambda` and one :func:`invariants`
+    call over the whole grid.
     """
     j = _check_spin(j)
     if coords not in ("gpm", "gxy"):
@@ -382,7 +385,7 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
     energies = _lmg_labeled_energies(j, omega, g_plus, g_minus)
     order = np.argsort(energies, axis=-1, kind="stable")
     degenerate, region = _classify(j, energies, order)
-    p = _label_occupations(energies, order, beta)
+    p = check_probability_vector(_label_occupations(energies, order, beta))
     return PhaseGrid(
         g_x=g_x,
         g_y=g_y,
@@ -393,8 +396,6 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
         degenerate=degenerate,
         pairs=_label_pairs(energies.shape[-1]),
         p=p,
-        lam=p_to_lambda(p),
-        t=invariants(p),
     )
 
 

@@ -13,7 +13,8 @@ Units: hbar = k_B = 1, so beta = 1/T and entropy is dimensionless.
 Everything in this module is a pure function of immutable inputs;
 trajectory sampling is vectorized over the beta grid and may also be
 evaluated concurrently point by point without coordination, the output
-ordering being fixed by the grid.
+ordering being fixed by the grid.  A trajectory holds its occupation
+vectors; their lambda and t images are derived from them on first access.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT
-from .representations import invariants, p_to_lambda
+from .representations import _DerivedCoordinates, check_probability_vector
 
 __all__ = [
     "Spectrum",
@@ -98,14 +99,16 @@ class ThermalState:
 
 
 @dataclass(frozen=True)
-class ThermalTrajectory:
-    """A thermal curve sampled on a beta grid, in all three coordinates."""
+class ThermalTrajectory(_DerivedCoordinates):
+    """A thermal curve sampled on a beta grid, in all three coordinates.
+
+    ``p`` holds one occupation vector per beta; ``lam`` and ``t``, its
+    lambda and t images, are derived from ``p`` on first access.
+    """
 
     spectrum: Spectrum
     beta: np.ndarray
     p: np.ndarray
-    lam: np.ndarray
-    t: np.ndarray
 
     def __len__(self) -> int:
         return int(self.beta.size)
@@ -180,10 +183,11 @@ def default_beta_grid() -> np.ndarray:
 def trajectory(spectrum: Spectrum, beta_grid=None) -> ThermalTrajectory:
     """Sample the thermal curve of ``spectrum`` on an ascending beta grid.
 
-    Each sample carries the occupation vector together with its
-    Bloch-diagonal and invariant images.  With the default grid the first
-    sample is the most mixed state and the last is numerically
-    indistinguishable from the ground-multiplet projector.
+    Each sample carries the occupation vector, validated once here; its
+    Bloch-diagonal and invariant images are derived from it on first
+    access.  With the default grid the first sample is the most mixed state
+    and the last is numerically indistinguishable from the ground-multiplet
+    projector.
     """
     if beta_grid is None:
         beta_grid = default_beta_grid()
@@ -194,7 +198,5 @@ def trajectory(spectrum: Spectrum, beta_grid=None) -> ThermalTrajectory:
         raise ValueError("beta grid entries must be finite and >= 0")
     if np.any(np.diff(beta_grid) < 0):
         raise ValueError("beta grid must be sorted ascending")
-    p = _occupations(spectrum.energies, beta_grid)
-    lam = p_to_lambda(p)
-    t = invariants(p)
-    return ThermalTrajectory(spectrum=spectrum, beta=beta_grid, p=p, lam=lam, t=t)
+    p = check_probability_vector(_occupations(spectrum.energies, beta_grid))
+    return ThermalTrajectory(spectrum=spectrum, beta=beta_grid, p=p)

@@ -340,11 +340,12 @@ class TestErrorPaths:
         (["thermal", "--model", "linear", "--J", "0.3"],
          "2J must be a positive integer, got '0.3'"),
         (["frame", "--n", "1"], "dimension must be >= 2, got 1"),
+        (["map", "--n", "0"], "dimension must be >= 2, got 0"),
         (["phase-diagram", "--J", "2", "--beta", "1", "--gminus", "0", "--gplus", "0"],
          "closed forms exist only for J in {1, 3/2}, got J = 2"),
         (["map", "--n", "3", "--point", "0.5,0.6,-0.1"],
          "point '0.5,0.6,-0.1' is not a probability vector: p[3] = -0.1 lies outside [0, 1]"),
-    ], ids=["t3-range", "locus-n", "t4-qutrit", "nan-coupling", "spin", "frame-n",
+    ], ids=["t3-range", "locus-n", "t4-qutrit", "nan-coupling", "spin", "frame-n", "map-n",
             "closed-form-J", "map-point"])
     def test_configuration_errors_print_one_line_and_exit_two(self, tmp_path, capsys,
                                                                argv, message):

@@ -272,6 +272,24 @@ class TestPositivity:
             disagreements += by_coeffs != by_eigs
         assert disagreements == 0
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_small_negative_eigenvalue_detected(self, n):
+        # an absolute coefficient slack of 1e-10 passed 153 of these at n = 8
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            p = rng.dirichlet(np.ones(n))
+            p[-1] = -1.1e-3
+            assert not positivity_check(np.diag(p)).positive
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_random_psd_matrices_judged_positive(self, n):
+        rng = np.random.default_rng(n)
+        for rank in (n, n // 2):
+            for _ in range(200):
+                a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+                h = a @ a.conj().T
+                assert positivity_check(h / np.trace(h).real).positive
+
 
 class TestOrbits:
     def test_generic_point(self):

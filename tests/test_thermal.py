@@ -167,6 +167,12 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             trajectory(spec, [])
 
+    def test_non_finite_occupations_rejected(self):
+        # the level spacing overflows to inf, so beta = 0 gives 0 * inf = NaN weights
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            trajectory(Spectrum([-1e308, 1e308]), [0.0])
+
 
 def test_thermodynamic_identity_random_spectra():
     rng = np.random.default_rng(17)
