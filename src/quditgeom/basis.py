@@ -57,7 +57,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """The n^2 - 1 su(n) generators, split into their three blocks."""
 
@@ -79,7 +79,7 @@ class GeneratorSet:
         return full[k - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexFrame:
     """Orthonormal axes of the probability simplex around its centroid.
 

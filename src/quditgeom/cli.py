@@ -53,7 +53,8 @@ from .curves import (
     t_space_boundary_qutrit,
 )
 from .config import DEFAULT
-from .models import LMGParams, linear_spectrum, lmg_spectrum, phase_grid
+from .errors import DimensionError
+from .models import LMGParams, _check_spin, linear_spectrum, lmg_spectrum, phase_grid
 from .representations import check_probability_vector, invariants, p_to_lambda
 from .thermal import trajectory
 
@@ -104,9 +105,10 @@ def _parse_spin(text: str) -> float:
             j = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse spin {text!r}") from exc
-    if not math.isfinite(j) or j <= 0 or abs(2 * j - round(2 * j)) > 1e-12:
-        raise ConfigError(f"2J must be a positive integer, got {text!r}")
-    return j
+    try:
+        return _check_spin(j)
+    except DimensionError as exc:
+        raise ConfigError(f"2J must be a positive integer, got {text!r}") from exc
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -462,7 +464,7 @@ def _sidecar(args, dataset: Dataset) -> dict:
     config = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("func",) and value is not None
+        if value is not None
     }
     return {
         "tool": "quditgeom",

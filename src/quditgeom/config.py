@@ -8,7 +8,8 @@ module-level ``DEFAULT`` instance supplies the defaults.
 A few fixed slacks that serve one site each are literals there instead:
 the CLI's simplex slack for p read from text (``cli._TEXT_SIMPLEX_SLACK``),
 the 1e-10 root slack of ``curves._smallest_admissible_root`` and the 1e-12
-test that 2J is an integer (``models._check_spin`` and ``cli._parse_spin``).
+test that 2J is an integer (``models._check_spin``, which ``cli._parse_spin``
+calls too).
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ class Tolerances:
     simplex: float = 1e-12
     #: accepted Hermiticity defect max|H - H^dagger|
     hermitian: float = 1e-10
-    #: slack on each characteristic-polynomial coefficient in the positivity
-    #: test, relative to the summed magnitude of the terms of its Newton step
+    #: slack on the smallest eigenvalue in the positivity test, relative to
+    #: the largest eigenvalue magnitude
     positivity: float = 1e-12
     #: eigenvalue clustering threshold, relative to the largest eigenvalue
     degeneracy: float = 1e-9

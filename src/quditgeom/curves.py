@@ -170,6 +170,8 @@ def constant_t2_locus(n: int, t2: float, samples: int = 512, *,
     if not (1.0 / n - DEFAULT.simplex <= t2 <= 1.0 + DEFAULT.simplex):
         raise ValueError(f"t2 must lie in [1/{n}, 1], got {t2!r}")
     if n == 3:
+        if samples < 3:
+            raise ValueError("need at least 3 angle samples")
         radius = np.full(samples, math.sqrt(max(3.0 * t2 - 1.0, 0.0) / 3.0))
         alpha = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
         pts, physical = _polar_points(3, radius, _direction_cosines(3, (alpha,), "main"))
@@ -188,6 +190,8 @@ def constant_t2_locus(n: int, t2: float, samples: int = 512, *,
 
 def _ququart_mesh(theta_samples: int, phi_samples: int) -> tuple:
     """The (theta, phi) mesh of the ququart loci, theta along the first axis."""
+    if theta_samples < 2 or phi_samples < 3:
+        raise ValueError("need at least 2 theta samples and 3 phi samples")
     theta = np.linspace(0.0, math.pi, theta_samples)
     phi = np.linspace(0.0, 2.0 * math.pi, phi_samples, endpoint=False)
     return np.meshgrid(theta, phi, indexing="ij")

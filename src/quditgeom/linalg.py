@@ -69,7 +69,11 @@ def real_roots(coeffs) -> np.ndarray:
     * a real root r with ``|r - s| >= 1e-2 * max(|r|, |s|)`` for every other
       distinct root s, complex ones included, is returned: to ``1e-9 * |r|``
       if simple, and possibly twice, to 1e-6 of the largest root modulus, if
-      an exact double root.
+      an exact double root;
+    * roots closer than ``1e-2`` relative to each other have no accuracy
+      promise: with a double root r and a third root at r(1 + d),
+      1e-3 <= |d| <= 1e-2, 10 of 6,694 seeded cases lost the double root
+      (off by up to 2.7e-3 of the largest root modulus).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or not 1 <= coeffs.size <= 5:

@@ -58,7 +58,7 @@ __all__ = [
 def _check_spin(j) -> float:
     j = float(j)
     twoj = 2.0 * j
-    if not math.isfinite(j) or j <= 0 or abs(twoj - round(twoj)) > 1e-12:
+    if not math.isfinite(j) or round(twoj) < 1 or abs(twoj - round(twoj)) > 1e-12:
         raise DimensionError(f"2J must be a positive integer, got J = {j!r}")
     return j
 
@@ -69,7 +69,7 @@ def _check_omega(omega) -> float:
     return omega
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularMomentum:
     """Spin-J matrices in the basis |J, M> ordered M = J down to -J (hbar = 1)."""
 
@@ -123,7 +123,7 @@ class PhaseRegion:
     degenerate_pairs: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
     """One coupling-grid node of a thermal phase sweep."""
 

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Energy levels sorted ascending, with optional level labels."""
 
@@ -67,7 +67,7 @@ class Spectrum:
         return int(self.energies.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalState:
     """Canonical state at one inverse temperature.
 
@@ -98,7 +98,7 @@ class ThermalState:
             return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalTrajectory(_DerivedCoordinates):
     """A thermal curve sampled on a beta grid, in all three coordinates.
 

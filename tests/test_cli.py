@@ -35,7 +35,7 @@ class TestParsers:
     def test_spin_rejects_bad_values(self):
         from quditgeom.cli import ConfigError
 
-        for bad in ("0", "-1", "0.3", "x", "1/0"):
+        for bad in ("0", "1e-13", "-1", "0.3", "x", "1/0"):
             with pytest.raises(ConfigError):
                 _parse_spin(bad)
 
@@ -345,8 +345,13 @@ class TestErrorPaths:
          "closed forms exist only for J in {1, 3/2}, got J = 2"),
         (["map", "--n", "3", "--point", "0.5,0.6,-0.1"],
          "point '0.5,0.6,-0.1' is not a probability vector: p[3] = -0.1 lies outside [0, 1]"),
+        (["locus", "--n", "3", "--t2", "0.5", "--samples", "-3"], "need at least 3 angle samples"),
+        (["locus", "--n", "3", "--t2", "0.5", "--samples", "1"], "need at least 3 angle samples"),
+        (["locus", "--n", "4", "--t3", "0.1", "--phi-samples", "-1"],
+         "need at least 2 theta samples and 3 phi samples"),
     ], ids=["t3-range", "locus-n", "t4-qutrit", "nan-coupling", "spin", "frame-n", "map-n",
-            "closed-form-J", "map-point"])
+            "closed-form-J", "map-point", "t2-negative-samples", "t2-one-sample",
+            "ququart-phi-samples"])
     def test_configuration_errors_print_one_line_and_exit_two(self, tmp_path, capsys,
                                                                argv, message):
         out = tmp_path / "x.csv"

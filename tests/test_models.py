@@ -42,7 +42,7 @@ class TestAngularMomentum:
         casimir = am.jx @ am.jx + am.jy @ am.jy + am.jz @ am.jz
         assert np.abs(casimir - j * (j + 1) * np.eye(casimir.shape[0])).max() < 1e-12
 
-    @pytest.mark.parametrize("bad", [0, -1, 0.3, 1.2, math.inf])
+    @pytest.mark.parametrize("bad", [0, 1e-13, -1, 0.3, 1.2, math.inf])
     def test_bad_spin_rejected(self, bad):
         with pytest.raises(DimensionError):
             angular_momentum(bad)

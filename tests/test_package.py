@@ -1,3 +1,7 @@
+import dataclasses
+
+import pytest
+
 import quditgeom
 from quditgeom import basis, config, curves, errors, linalg, models, representations, thermal
 
@@ -51,3 +55,24 @@ def test_each_module_lists_exactly_its_public_functions_and_classes():
         }
         assert len(module.__all__) == len(set(module.__all__)), module.__name__
         assert set(module.__all__) == defined, module.__name__
+
+
+# records holding arrays: equality and hashing fall back to identity
+RECORDS = {
+    "GeneratorSet": lambda: quditgeom.build_generators(2),
+    "SimplexFrame": lambda: quditgeom.simplex_frame(3),
+    "Spectrum": lambda: quditgeom.Spectrum([0.0, 1.0]),
+    "ThermalState": lambda: quditgeom.gibbs_state(quditgeom.Spectrum([0.0, 1.0]), 1.0),
+    "ThermalTrajectory": lambda: quditgeom.trajectory(quditgeom.Spectrum([0.0, 1.0]), [0.0, 1.0]),
+    "AngularMomentum": lambda: quditgeom.angular_momentum(1),
+    "PhasePoint": lambda: quditgeom.phase_sweep(1, [0.0], [0.0], 1.0)[0],
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_records_holding_arrays_compare_by_identity(make):
+    record = make()
+    copy = dataclasses.replace(record)
+    assert record == record
+    assert not record == copy
+    assert hash(record) == hash(record)

@@ -4,15 +4,25 @@ Derandomized with a small example budget: every run checks the same
 examples, and the suite stays a few seconds long.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quditgeom import (
+    DEFAULT,
+    LMGParams,
     Spectrum,
+    classify_region,
+    endpoint_state,
     gibbs_state,
     invariants,
+    label_ordered_occupations,
     lambda_to_p,
+    orbit_classification,
     p_to_lambda,
+    phase_grid,
+    polar_to_p,
     trajectory,
 )
 
@@ -34,6 +44,26 @@ def spectra(draw):
     n = draw(st.integers(2, 8))
     energies = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
     return Spectrum(sorted(energies))
+
+
+@st.composite
+def states_with_repeats(draw):
+    """A state whose n entries take only k <= n distinct drawn values."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n))
+    levels = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    p = levels[picks]
+    return p / p.sum()
+
+
+@st.composite
+def gapped_spectra(draw):
+    """Levels whose neighbouring gaps are either exactly 0 or at least 1e-3."""
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.just(0.0) | st.floats(1e-3, 10.0),
+                         min_size=n - 1, max_size=n - 1))
+    return Spectrum(draw(st.floats(-50.0, 50.0)) + np.cumsum([0.0] + gaps))
 
 
 @SETTINGS
@@ -67,3 +97,54 @@ def test_trajectory_lambda_and_t_are_the_maps_of_its_p(spectrum, betas):
 @given(spectra(), st.floats(0.0, 100.0))
 def test_gibbs_state_is_the_one_point_trajectory(spectrum, beta):
     assert np.array_equal(gibbs_state(spectrum, beta).p, trajectory(spectrum, [beta]).p[0])
+
+
+@SETTINGS
+@given(states_with_repeats())
+def test_orbit_multiplicities_sum_to_n_and_fix_the_orbit_dimension(p):
+    pattern = orbit_classification(p)
+    n = p.size
+    assert sum(pattern.multiplicities) == n
+    assert pattern.orbit_dimension == n * n - sum(m * m for m in pattern.multiplicities)
+
+
+@SETTINGS
+@given(st.integers(2, 8), st.floats(0.0, 3.0), st.sampled_from(["main", "appendix"]),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=6, max_size=6))
+def test_polar_to_p_flag_is_the_simplex_test(n, r, convention, angles):
+    point = polar_to_p(n, r, angles[: n - 2], convention=convention)
+    assert point.physical == (point.p.min() >= -DEFAULT.simplex)
+
+
+@SETTINGS
+@given(gapped_spectra(), st.floats(0.0, 100.0))
+def test_gibbs_state_is_normalized_and_starts_at_the_uniform_state(spectrum, beta):
+    assert abs(gibbs_state(spectrum, beta).p.sum() - 1.0) <= 1e-14
+    np.testing.assert_allclose(gibbs_state(spectrum, 0.0).p, endpoint_state(spectrum, "infinite"),
+                               rtol=0, atol=1e-16)
+
+
+@SETTINGS
+@given(gapped_spectra(), st.floats(50.0, 1e4))
+def test_gibbs_state_reaches_the_ground_multiplet(spectrum, beta_gap):
+    shifted = spectrum.energies - spectrum.energies[0]
+    gap = shifted[shifted > 0].min() if shifted.any() else 1.0
+    np.testing.assert_allclose(gibbs_state(spectrum, beta_gap / gap).p,
+                               endpoint_state(spectrum, "zero"), rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(st.sampled_from([1, 1.5]), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+       st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4), st.floats(0.0, 20.0))
+def test_phase_grid_rows_match_the_one_point_functions(j, g_minus, g_plus, beta):
+    grid = phase_grid(j, g_minus, g_plus, beta)
+    for i in range(len(grid)):
+        params = LMGParams(g_x=grid.g_x[i], g_y=grid.g_y[i])
+        region = classify_region(j, params)
+        assert region.region_id == grid.region[i]
+        assert region.energy_order == tuple(grid.order[i].tolist())
+        assert region.degenerate_pairs == tuple(
+            pair for pair, hit in zip(grid.pairs, grid.degenerate[i]) if hit
+        )
+        np.testing.assert_allclose(label_ordered_occupations(j, params, beta), grid.p[i],
+                                   rtol=0, atol=1e-15)

@@ -258,6 +258,8 @@ class TestPositivity:
             positivity_check(np.array([[0.5, 1.0], [0.0, 0.5]]))
         with pytest.raises(ValueError):
             positivity_check(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            positivity_check(np.diag([np.nan, 1.0]))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agrees_with_eigenvalue_signs(self, n):
@@ -272,14 +274,33 @@ class TestPositivity:
             disagreements += by_coeffs != by_eigs
         assert disagreements == 0
 
-    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
     def test_small_negative_eigenvalue_detected(self, n):
-        # an absolute coefficient slack of 1e-10 passed 153 of these at n = 8
+        # an absolute coefficient slack of 1e-10 passed 153 of these at n = 8;
+        # a slack relative to each Newton step still passed 20 at n = 12 and 138 at n = 16
         rng = np.random.default_rng(1)
         for _ in range(200):
             p = rng.dirichlet(np.ones(n))
             p[-1] = -1.1e-3
             assert not positivity_check(np.diag(p)).positive
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_agrees_with_the_spectrum_on_unitary_conjugates(self, n):
+        # Newton's identities in floats judged 960 of the 4,500 negative ones positive
+        rng = np.random.default_rng(700 + n)
+        for _ in range(300):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            negative = rng.dirichlet(np.ones(n))
+            negative[-1] = -(10.0 ** rng.uniform(-6.0, -1.0)) * negative[:-1].max()
+            psd = rng.dirichlet(np.ones(n))
+            psd[: n // 2] = 0.0
+            for eigs, positive in ((negative, False), (psd, True)):
+                assert positivity_check((q * eigs) @ q.conj().T).positive is positive
+
+    def test_empty_matrix_is_positive(self):
+        res = positivity_check(np.zeros((0, 0)))
+        assert res.positive
+        assert res.coefficients.shape == (0,)
 
     @pytest.mark.parametrize("n", range(3, 17))
     def test_random_psd_matrices_judged_positive(self, n):
