@@ -111,20 +111,28 @@ def _parse_spin(text: str) -> float:
         raise ConfigError(f"2J must be a positive integer, got {text!r}") from exc
 
 
+def _parse_spec(spec: str, what: str) -> tuple:
+    """``(lo, hi, count)`` of a 'lo:hi:count' ``spec``; ``what`` names it in errors."""
+    parts = spec.split(":")
+    try:
+        if len(parts) != 3:
+            raise ValueError("expected 'lo:hi:count'")
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError("count must be >= 1")
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {what}: {exc}") from exc
+    return lo, hi, count
+
+
 def _parse_range(text: str) -> np.ndarray:
     """A 'lo:hi:count' linear range or a single numeric value."""
-    parts = text.split(":")
+    if ":" in text:
+        return np.linspace(*_parse_spec(text, f"range {text!r}"))
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) == 3:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError("count must be >= 1")
-            return np.linspace(lo, hi, count)
+        return np.array([float(text)])
     except ValueError as exc:
-        raise ConfigError(f"cannot parse range {text!r}: {exc}") from exc
-    raise ConfigError(f"ranges must look like 'lo:hi:count' or a number, got {text!r}")
+        raise ConfigError(f"cannot parse range {text!r}: not a number or lo:hi:count") from exc
 
 
 def _parse_beta_grid(text: str) -> np.ndarray:
@@ -132,23 +140,15 @@ def _parse_beta_grid(text: str) -> np.ndarray:
     values = []
     for item in text.split(","):
         item = item.strip()
-        if item.startswith(("log:", "lin:")):
-            kind, rest = item.split(":", 1)
-            parts = rest.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"grid spec must be '{kind}:lo:hi:count', got {item!r}")
-            try:
-                lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse grid spec {item!r}") from exc
-            if count < 1:
-                raise ConfigError("grid count must be >= 1")
-            if kind == "log":
-                if lo <= 0 or hi <= 0:
-                    raise ConfigError("log grids need positive endpoints")
-                values.append(np.logspace(math.log10(lo), math.log10(hi), count))
-            else:
+        kind, _, spec = item.partition(":")
+        if kind in ("lin", "log"):
+            lo, hi, count = _parse_spec(spec, f"grid spec {item!r}")
+            if kind == "lin":
                 values.append(np.linspace(lo, hi, count))
+            elif lo <= 0 or hi <= 0:
+                raise ConfigError("log grids need positive endpoints")
+            else:
+                values.append(np.logspace(math.log10(lo), math.log10(hi), count))
         else:
             try:
                 values.append(np.array([float(item)]))
@@ -281,11 +281,8 @@ def _build_thermal(args) -> Dataset:
 def _build_phase_diagram(args) -> Dataset:
     g_first = _parse_range(args.gminus)
     g_second = _parse_range(args.gplus)
-    beta = args.beta
-    if beta < 0 or not math.isfinite(beta):
-        raise ConfigError("phase-diagram needs a finite --beta >= 0")
     grid = phase_grid(
-        args.spin, g_first, g_second, beta=beta, omega=args.omega, coords=args.coords
+        args.spin, g_first, g_second, beta=args.beta, omega=args.omega, coords=args.coords
     )
     lead = {"gminus": grid.g_minus, "gplus": grid.g_plus, "region": grid.region}
     return _node_table(lead, grid.p)

@@ -2,8 +2,9 @@
 
 The tolerances that several functions, tests and validators share live in
 this one record, so that they agree on what "equal" and "nonnegative"
-mean.  Callers may pass their own values to individual functions; the
-module-level ``DEFAULT`` instance supplies the defaults.
+mean.  Every function reads its slack from the module-level ``DEFAULT``
+instance; only ``check_probability_vector`` takes a per-call slack, which
+the CLI uses for p read from text.
 
 A few fixed slacks that serve one site each are literals there instead:
 the CLI's simplex slack for p read from text (``cli._TEXT_SIMPLEX_SLACK``),

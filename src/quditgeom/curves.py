@@ -16,10 +16,12 @@ it follows the respective closed forms:
 * ququart sphere and surfaces: s = r/sqrt(2), the Bloch scale of
   ``polar_to_p``, bounded by ``sqrt(3/2)``.
 
-Out-of-simplex continuations are generated and flagged unphysical rather
-than dropped, so the dotted unphysical branches of the loci can be
-exported alongside the physical ones.  Nodes where the radius equation
-has no admissible root get NaN coordinates and a False flag.
+Every locus target t_k is checked against its range [1/n^(k-1), 1] in one
+place; a target outside it by at most ``DEFAULT.simplex`` is clamped onto
+the bound.  Out-of-simplex continuations are generated and flagged
+unphysical rather than dropped, so the dotted unphysical branches of the
+loci can be exported alongside the physical ones.  Nodes where the radius
+equation has no admissible root get NaN coordinates and a False flag.
 
 All functions are pure.  The ququart surfaces solve the radius
 polynomials of every mesh node in one batched root-finder call.
@@ -98,6 +100,18 @@ def _segment(start, end, x, label: str) -> ParamCurve:
                       physical=np.ones(x.size, dtype=bool), label=label)
 
 
+def _target(k: int, n: int, value: float) -> float:
+    """A locus target t_k, checked against its range and clamped into it.
+
+    ``t_k = Tr(rho^k)`` of an n-level state lies in [1/n^(k-1), 1]; a value
+    outside by at most ``DEFAULT.simplex`` is moved onto the bound.
+    """
+    lo = 1.0 / n ** (k - 1)
+    if not (lo - DEFAULT.simplex <= value <= 1.0 + DEFAULT.simplex):
+        raise ValueError(f"t{k} must lie in [1/{n ** (k - 1)}, 1], got {value!r}")
+    return min(max(value, lo), 1.0)
+
+
 def simplex_edges(n: int, samples: int = 512) -> list:
     """One segment per vertex pair: all states with one zero eigenvalue.
 
@@ -167,25 +181,29 @@ def constant_t2_locus(n: int, t2: float, samples: int = 512, *,
     n = _check_dimension(n, minimum=3)
     if n not in (3, 4):
         raise DimensionError(f"constant-purity loci are implemented for n in {{3, 4}}, got {n}")
-    if not (1.0 / n - DEFAULT.simplex <= t2 <= 1.0 + DEFAULT.simplex):
-        raise ValueError(f"t2 must lie in [1/{n}, 1], got {t2!r}")
+    t2 = _target(2, n, t2)
     if n == 3:
-        if samples < 3:
-            raise ValueError("need at least 3 angle samples")
-        radius = np.full(samples, math.sqrt(max(3.0 * t2 - 1.0, 0.0) / 3.0))
-        alpha = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        pts, physical = _polar_points(3, radius, _direction_cosines(3, (alpha,), "main"))
-        return ParamCurve(
-            space="p",
-            points=pts,
-            parameter=alpha,
-            physical=physical,
-            label=f"t2={t2:g}",
-            radius=radius,
-        )
+        alpha = _qutrit_angles(samples)
+        radius = np.full(samples, math.sqrt((3.0 * t2 - 1.0) / 3.0))
+        return _qutrit_curve(alpha, radius, f"t2={t2:g}")
     tt, pp = _ququart_mesh(theta_samples, phi_samples)
-    radius = np.full(tt.shape, math.sqrt(max(4.0 * t2 - 1.0, 0.0) / 2.0))
+    radius = np.full(tt.shape, math.sqrt((4.0 * t2 - 1.0) / 2.0))
     return _ququart_surface(tt, pp, radius, f"t2={t2:g}")
+
+
+def _qutrit_angles(samples: int) -> np.ndarray:
+    """The angles alpha of the qutrit loci, ``samples`` of them over [0, 2 pi)."""
+    if samples < 3:
+        raise ValueError("need at least 3 angle samples")
+    return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+
+
+def _qutrit_curve(alpha, radius, label: str, offset: float = 0.0) -> ParamCurve:
+    """The qutrit curve of Euclidean ``radius`` at frame angle ``alpha + offset``."""
+    cosines = _direction_cosines(3, (alpha + offset,), "main")
+    pts, physical = _polar_points(3, radius, cosines)
+    return ParamCurve(space="p", points=pts, parameter=alpha, physical=physical, label=label,
+                      radius=radius, meta={"frame_angle_offset": offset})
 
 
 def _ququart_mesh(theta_samples: int, phi_samples: int) -> tuple:
@@ -221,8 +239,7 @@ def qutrit_t3_radius(t3: float, alpha: float) -> float:
     from a vertex direction (see :func:`constant_t3_locus_qutrit`).
     Returns NaN when no admissible root exists.
     """
-    if not (1.0 / 9.0 - DEFAULT.simplex <= t3 <= 1.0 + DEFAULT.simplex):
-        raise ValueError(f"t3 must lie in [1/9, 1], got {t3!r}")
+    t3 = _target(3, 3, t3)
     coeffs = (1.0 / 9.0 - t3, 0.0, 1.0, math.cos(3.0 * alpha) / math.sqrt(6.0))
     return float(_smallest_admissible_root(real_roots(coeffs), QUTRIT_RADIUS_MAX))
 
@@ -239,21 +256,9 @@ def constant_t3_locus_qutrit(t3: float, alpha_samples: int = 512) -> ParamCurve:
     reproduce ``t3`` exactly under the invariant map.  The curve has exact
     2 pi/3 rotational symmetry in alpha.
     """
-    if alpha_samples < 3:
-        raise ValueError("need at least 3 angle samples")
-    alpha = np.linspace(0.0, 2.0 * math.pi, alpha_samples, endpoint=False)
+    alpha = _qutrit_angles(alpha_samples)
     radius = np.array([qutrit_t3_radius(t3, a) for a in alpha])
-    cosines = _direction_cosines(3, (alpha + math.pi / 6.0,), "main")
-    pts, physical = _polar_points(3, radius, cosines)
-    return ParamCurve(
-        space="p",
-        points=pts,
-        parameter=alpha,
-        physical=physical,
-        label=f"t3={t3:g}",
-        radius=radius,
-        meta={"frame_angle_offset": math.pi / 6.0},
-    )
+    return _qutrit_curve(alpha, radius, f"t3={t3:g}", offset=math.pi / 6.0)
 
 
 def _ququart_angular_coefficients(theta, phi):
@@ -279,14 +284,9 @@ def constant_invariant_surface_ququart(which: str, value: float, *,
     the smallest admissible root in [0, sqrt(3/2)] is selected.  Both
     surfaces repeat under phi -> phi + 2 pi/3.
     """
-    if which == "t3":
-        lo = 1.0 / 16.0
-    elif which == "t4":
-        lo = 1.0 / 64.0
-    else:
+    if which not in ("t3", "t4"):
         raise ValueError(f"which must be 't3' or 't4', got {which!r}")
-    if not (lo - DEFAULT.simplex <= value <= 1.0 + DEFAULT.simplex):
-        raise ValueError(f"{which} must lie in [{lo:g}, 1], got {value!r}")
+    value = _target(int(which[1]), 4, value)
     tt, pp = _ququart_mesh(theta_samples, phi_samples)
     a3, b4 = _ququart_angular_coefficients(tt.ravel(), pp.ravel())
     if which == "t3":

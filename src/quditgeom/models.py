@@ -279,17 +279,16 @@ _REGION_BY_ORDER = {
 }
 
 
-def _classify(j: float, energies: np.ndarray, order: np.ndarray, tol=None) -> tuple:
+def _classify(j: float, energies: np.ndarray, order: np.ndarray) -> tuple:
     """Degenerate label pairs and region ids of ``(N, n)`` label-ordered levels.
 
     ``order`` is the stable ascending argsort of ``energies`` along the
     level axis.  Two levels are degenerate when they differ by at most
-    ``tol * max(1, max|E|)`` of their row.
+    ``DEFAULT.degeneracy * max(1, max|E|)`` of their row.
     """
-    tol = DEFAULT.degeneracy if tol is None else tol
     first, second = np.triu_indices(energies.shape[-1], 1)
     scale = np.maximum(1.0, np.abs(energies).max(axis=-1, keepdims=True))
-    degenerate = np.abs(energies[:, first] - energies[:, second]) <= tol * scale
+    degenerate = np.abs(energies[:, first] - energies[:, second]) <= DEFAULT.degeneracy * scale
     ordered = ~degenerate.any(axis=-1)
     region = np.full(len(energies), "boundary")
     for labels, name in _REGION_BY_ORDER[j].items():
@@ -322,19 +321,20 @@ def _phase_region(region_id: str, order: tuple, degenerate, pairs: tuple) -> Pha
     )
 
 
-def classify_region(j, params: LMGParams, tol: float | None = None) -> PhaseRegion:
+def classify_region(j, params: LMGParams) -> PhaseRegion:
     """Phase region of an LMG coupling point from its energy ordering.
 
     Region I has the label order E1 < E2 < ... ascending; II swaps the
     ground pair; III additionally swaps the top pair (J = 3/2) or moves E1
-    above E3 (J = 1).  Points where any two levels coincide within ``tol``
-    times the energy scale are reported as boundaries carrying the
-    degenerate label pairs instead of an arbitrary ordering.
+    above E3 (J = 1).  Points where any two levels coincide within
+    ``DEFAULT.degeneracy`` times the energy scale ``max(1, max|E|)`` are
+    reported as boundaries carrying the degenerate label pairs instead of
+    an arbitrary ordering.
     """
     j = _check_spin(j)
     energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)[None]
     order = np.argsort(energies, axis=-1, kind="stable")
-    degenerate, region = _classify(j, energies, order, tol)
+    degenerate, region = _classify(j, energies, order)
     return _phase_region(str(region[0]), tuple((order[0] + 1).tolist()), degenerate[0],
                          _label_pairs(energies.shape[-1]))
 

@@ -217,25 +217,23 @@ def _direction_cosines(n: int, angles, convention: str) -> list:
     return cosines + [running]
 
 
-def _polar_points(n: int, scale, cosines, tol: float | None = None) -> tuple:
+def _polar_points(n: int, scale, cosines) -> tuple:
     """``p = p_e + scale * sum_l c_l e_l`` on the simplex frame, and its flag.
 
     ``scale`` is an array and the cosines broadcast to its shape; ``p`` has
     that shape plus a last axis of n.  A point is physical when its scale
-    is finite and no component falls below ``-tol`` (a NaN component fails
-    that test too).
+    is finite and no component falls below ``-DEFAULT.simplex`` (a NaN
+    component fails that test too).
     """
-    tol = DEFAULT.simplex if tol is None else tol
     frame = simplex_frame(n)
     direction = sum(map(np.multiply.outer, cosines, frame.axes))
     p = frame.center + scale[..., None] * direction
     finite = np.isfinite(scale)
-    physical = finite & (np.where(finite[..., None], p, 0.0).min(axis=-1) >= -tol)
+    physical = finite & (np.where(finite[..., None], p, 0.0).min(axis=-1) >= -DEFAULT.simplex)
     return p, physical
 
 
-def polar_to_p(n: int, r: float, angles=(), *, convention: str = "main",
-               tol: float | None = None) -> SimplexPoint:
+def polar_to_p(n: int, r: float, angles=(), *, convention: str = "main") -> SimplexPoint:
     """Polar parametrization of the simplex around its centroid.
 
     ``p = p_e + (r / sqrt(2)) * sum_l c_l(angles) e_l`` with unit direction
@@ -247,8 +245,9 @@ def polar_to_p(n: int, r: float, angles=(), *, convention: str = "main",
     the hyperspherical ordering with ``cos(theta_1)`` on the first axis.
     For other n the two conventions coincide (hyperspherical).
 
-    Out-of-simplex results are returned with ``physical=False`` rather
-    than raising, so curves may be continued beyond the physical region.
+    Out-of-simplex results (a component below ``-DEFAULT.simplex``) are
+    returned with ``physical=False`` rather than raising, so curves may be
+    continued beyond the physical region.
     """
     n = simplex_frame(n).n  # rejects a bad dimension before anything else
     if not np.isfinite(r) or r < 0:
@@ -257,15 +256,16 @@ def polar_to_p(n: int, r: float, angles=(), *, convention: str = "main",
     if angles.ndim != 1 or not np.all(np.isfinite(angles)):
         raise ValueError(f"angles must be a flat sequence of finite numbers, got {angles!r}")
     cosines = _direction_cosines(n, angles, convention)
-    p, physical = _polar_points(n, np.asarray(r / math.sqrt(2.0)), cosines, tol)
+    p, physical = _polar_points(n, np.asarray(r / math.sqrt(2.0)), cosines)
     return SimplexPoint(p=p, physical=bool(physical))
 
 
-def positivity_check(matrix, *, hermitian_tol: float | None = None) -> PositivityResult:
+def positivity_check(matrix) -> PositivityResult:
     """Positivity of a Hermitian matrix from its spectrum.
 
-    One ``np.linalg.eigvalsh`` call gives the eigenvalues; the matrix
-    counts as positive semidefinite when none falls below
+    A matrix with max|H - H^dagger| above ``DEFAULT.hermitian`` raises
+    ``ValueError``.  One ``np.linalg.eigvalsh`` call gives the eigenvalues;
+    the matrix counts as positive semidefinite when none falls below
     ``-DEFAULT.positivity * max|lambda|``.  Every Hermitian matrix with
     n <= 16 whose smallest eigenvalue is at most -1e-6 * max|lambda| is
     judged non-positive, and every positive semidefinite one, exact zero
@@ -276,16 +276,15 @@ def positivity_check(matrix, *, hermitian_tol: float | None = None) -> Positivit
     elementary symmetric polynomials of the eigenvalues, which are all
     nonnegative exactly when the matrix is; for unit-trace input a_1 = 1.
     """
-    hermitian_tol = DEFAULT.hermitian if hermitian_tol is None else hermitian_tol
     h = np.asarray(matrix)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix contains non-finite entries")
     defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if defect > hermitian_tol:
+    if defect > DEFAULT.hermitian:
         raise ValueError(
-            f"matrix is not Hermitian within {hermitian_tol:g} (max asymmetry {defect:.3e})"
+            f"matrix is not Hermitian within {DEFAULT.hermitian:g} (max asymmetry {defect:.3e})"
         )
     eigs = np.linalg.eigvalsh(h)
     positive = bool(np.all(eigs >= -DEFAULT.positivity * np.abs(eigs).max(initial=0.0)))
@@ -293,23 +292,19 @@ def positivity_check(matrix, *, hermitian_tol: float | None = None) -> Positivit
     return PositivityResult(positive=positive, coefficients=signs * np.atleast_1d(np.poly(eigs))[1:])
 
 
-def orbit_classification(p, tol: float | None = None) -> DegeneracyPattern:
+def orbit_classification(p) -> DegeneracyPattern:
     """Group the eigenvalues of a diagonal state into degeneracy clusters.
 
-    Eigenvalues closer than ``tol`` times the largest eigenvalue belong to
-    one cluster (default ``tol`` is the centralized degeneracy tolerance).
-    Multiplicities are reported in descending-eigenvalue order.
+    Neighbouring eigenvalues within ``DEFAULT.degeneracy`` times the
+    largest eigenvalue belong to one cluster.  Multiplicities are reported
+    in descending-eigenvalue order.
     """
     p = check_probability_vector(p)
     if p.ndim != 1:
         raise ValueError("orbit classification takes a single probability vector")
-    if tol is None:
-        tol = DEFAULT.degeneracy
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
     n = p.shape[0]
     values = np.sort(p)[::-1]
-    threshold = tol * values[0]
+    threshold = DEFAULT.degeneracy * values[0]
     multiplicities = [1]
     for gap in np.diff(values):
         if -gap > threshold:

@@ -139,7 +139,8 @@ def _check_beta(beta) -> float:
 def gibbs_state(spectrum: Spectrum, beta: float) -> ThermalState:
     """Canonical (maximum-entropy) state of ``spectrum`` at ``beta >= 0``.
 
-    Raises ``ValueError`` for negative beta; the infinite-temperature and
+    Raises ``ValueError`` for negative beta and, as :func:`trajectory`
+    does, for non-finite occupations; the infinite-temperature and
     zero-temperature limits are served exactly by :func:`endpoint_state`.
     """
     beta = _check_beta(beta)
@@ -147,30 +148,28 @@ def gibbs_state(spectrum: Spectrum, beta: float) -> ThermalState:
     shifted = h - h[0]
     weights = np.exp(-beta * shifted)
     z = float(weights.sum())
-    p = weights / z
+    p = check_probability_vector(weights / z)
     u = float(p @ h)
     s = -sum(x * math.log(x) for x in p.tolist() if x > 0.0)
     f = u - s / beta if beta > 0 else -math.inf
     return ThermalState(beta=beta, p=p, Z=z, energy_shift=float(h[0]), U=u, S=s, F=f)
 
 
-def endpoint_state(spectrum: Spectrum, which: str, tol: float | None = None) -> np.ndarray:
+def endpoint_state(spectrum: Spectrum, which: str) -> np.ndarray:
     """Exact limiting occupation vector.
 
     ``which="infinite"`` (beta -> 0) gives the uniform vector; ``"zero"``
-    (beta -> inf) puts weight 1/k on each of the k levels within ``tol``
-    (relative to the energy scale) of the ground energy.
+    (beta -> inf) puts weight 1/k on each of the k levels within
+    ``DEFAULT.degeneracy * max(1, max|h|)`` of the ground energy.  Any
+    other ``which`` raises ``ValueError``.
     """
-    tol = DEFAULT.degeneracy if tol is None else tol
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
     h = spectrum.energies
     n = spectrum.n
-    if which in ("infinite", "infinite-temperature"):
+    if which == "infinite":
         return np.full(n, 1.0 / n)
-    if which in ("zero", "zero-temperature"):
+    if which == "zero":
         scale = max(1.0, float(np.abs(h).max()))
-        ground = (h - h[0]) <= tol * scale
+        ground = (h - h[0]) <= DEFAULT.degeneracy * scale
         return ground / ground.sum()
     raise ValueError(f"which must be 'zero' or 'infinite', got {which!r}")
 

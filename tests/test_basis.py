@@ -90,6 +90,13 @@ def test_invalid_dimension_rejected(bad):
         bloch_bound(bad)
 
 
+def test_generator_index_out_of_range():
+    gens = build_generators(3)
+    for index in (0, 9):
+        with pytest.raises(IndexError, match=f"must be in 1..8, got {index}"):
+            gens.matrix(index)
+
+
 def test_outputs_are_readonly():
     gens = build_generators(3)
     with pytest.raises(ValueError):

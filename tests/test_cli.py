@@ -300,6 +300,10 @@ class TestMapAndFrame:
         np.testing.assert_allclose(axis3, np.array([1, 1, 1, -3]) / (2 * math.sqrt(3)), atol=1e-15)
 
 
+PHASE = ["phase-diagram", "--J", "1", "--beta", "1", "--gplus", "0"]
+LINEAR = ["thermal", "--model", "linear", "--J", "1"]
+
+
 class TestErrorPaths:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -349,9 +353,20 @@ class TestErrorPaths:
         (["locus", "--n", "3", "--t2", "0.5", "--samples", "1"], "need at least 3 angle samples"),
         (["locus", "--n", "4", "--t3", "0.1", "--phi-samples", "-1"],
          "need at least 2 theta samples and 3 phi samples"),
+        (["locus", "--n", "4", "--t4", "0.01"], "t4 must lie in [1/64, 1], got 0.01"),
+        (PHASE + ["--gminus", "0:1"], "cannot parse range '0:1': expected 'lo:hi:count'"),
+        (PHASE + ["--gminus", "0:1:0"], "cannot parse range '0:1:0': count must be >= 1"),
+        (PHASE + ["--gminus", "x"], "cannot parse range 'x': not a number or lo:hi:count"),
+        (LINEAR + ["--beta-grid", "lin:0:1:2.5"],
+         "cannot parse grid spec 'lin:0:1:2.5': invalid literal for int() with base 10: '2.5'"),
+        (LINEAR + ["--beta-grid", "1,,2"], "cannot parse beta value ''"),
+        (LINEAR + ["--beta-grid", "lin:1:nan:3"], "beta values must be finite and >= 0"),
+        (["map", "--n", "3", "--point", "0.5,x,0.5"], "cannot parse point '0.5,x,0.5'"),
     ], ids=["t3-range", "locus-n", "t4-qutrit", "nan-coupling", "spin", "frame-n", "map-n",
             "closed-form-J", "map-point", "t2-negative-samples", "t2-one-sample",
-            "ququart-phi-samples"])
+            "ququart-phi-samples", "t4-range", "range-two-parts", "range-zero-count",
+            "range-not-a-number", "beta-grid-fractional-count", "beta-grid-empty-item",
+            "beta-grid-nan", "map-point-not-a-number"])
     def test_configuration_errors_print_one_line_and_exit_two(self, tmp_path, capsys,
                                                                argv, message):
         out = tmp_path / "x.csv"
@@ -487,6 +502,21 @@ class TestValidate:
             f"row 5: physical row has {nonfinite} p",
             "row 7: t2 deviates from 0.375",
         ]
+
+    def test_failure_prints_twenty_problems_exits_four_and_keeps_files(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        import quditgeom.cli as cli_mod
+        from quditgeom import Tolerances
+
+        # a negative recheck slack turns every physical row into a problem
+        monkeypatch.setattr(cli_mod, "DEFAULT", Tolerances(invariant_recheck=-1.0))
+        out = tmp_path / "locus.csv"
+        code = main(["locus", "--n", "3", "--t2", "0.5", "--samples", "30", "--validate",
+                     "--out", str(out)])
+        assert code == cli_mod.EXIT_NUMERICAL
+        assert capsys.readouterr().err == "".join(
+            f"validate: row {row}: t2 deviates from 0.5\n" for row in range(2, 22))
+        assert sorted(os.listdir(tmp_path)) == ["locus.csv", "locus.csv.meta.json"]
 
 
 class TestAtomicOutput:

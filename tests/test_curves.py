@@ -91,12 +91,17 @@ class TestEdgesAndMedians:
             simplex_edges(2)
         with pytest.raises(DimensionError):
             simplex_medians(5)
+        with pytest.raises(ValueError, match="need at least 2 samples per edge"):
+            simplex_edges(3, samples=1)
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            simplex_medians(3, samples=1)
 
 
 class TestConstantT2:
     def test_degenerate_circle_is_center(self):
-        curve = constant_t2_locus(3, 1 / 3, samples=8)
-        np.testing.assert_allclose(curve.points, np.full((8, 3), 1 / 3), atol=1e-15)
+        for t2 in (1 / 3, 1 / 3 - 5e-13):
+            curve = constant_t2_locus(3, t2, samples=8)
+            np.testing.assert_allclose(curve.points, np.full((8, 3), 1 / 3), atol=1e-15)
 
     def test_vertex_on_pure_circle(self):
         curve = constant_t2_locus(3, 1.0, samples=12)
@@ -130,8 +135,10 @@ class TestConstantT2:
 
 class TestConstantT3Qutrit:
     def test_radius_at_centroid_value(self):
-        for alpha in (0.0, 1.0, 2.5):
-            assert qutrit_t3_radius(1 / 9, alpha) == pytest.approx(0.0, abs=1e-12)
+        # a target within the simplex slack below 1/9 is clamped onto it
+        for t3 in (1 / 9, 1 / 9 - 5e-13):
+            for alpha in (0.0, 1.0, 2.5):
+                assert qutrit_t3_radius(t3, alpha) == pytest.approx(0.0, abs=1e-12)
 
     def test_radius_at_pure_value_on_vertex_axis(self):
         r = qutrit_t3_radius(1.0, 0.0)
@@ -179,13 +186,15 @@ class TestConstantT3Qutrit:
 
 class TestQuquartSurfaces:
     def test_t3_at_lower_bound_degenerates_to_center(self):
-        mesh = constant_invariant_surface_ququart("t3", 1 / 16, theta_samples=5, phi_samples=6)
-        assert np.abs(mesh.radius).max() < 1e-10
-        np.testing.assert_allclose(mesh.points, np.full((5, 6, 4), 0.25), atol=1e-10)
+        for t3 in (1 / 16, 1 / 16 - 5e-13):
+            mesh = constant_invariant_surface_ququart("t3", t3, theta_samples=5, phi_samples=6)
+            assert np.abs(mesh.radius).max() < 1e-10
+            np.testing.assert_allclose(mesh.points, np.full((5, 6, 4), 0.25), atol=1e-10)
 
     def test_t4_at_lower_bound_degenerates_to_center(self):
-        mesh = constant_invariant_surface_ququart("t4", 1 / 64, theta_samples=4, phi_samples=6)
-        assert np.abs(mesh.radius).max() < 1e-10
+        for t4 in (1 / 64, 1 / 64 - 5e-13):
+            mesh = constant_invariant_surface_ququart("t4", t4, theta_samples=4, phi_samples=6)
+            assert np.abs(mesh.radius).max() < 1e-10
 
     @pytest.mark.parametrize("which,value", [("t3", 7 / 40), ("t3", 0.1), ("t4", 5 / 64), ("t4", 1 / 32)])
     def test_self_consistency(self, which, value):
@@ -213,6 +222,8 @@ class TestQuquartSurfaces:
             constant_invariant_surface_ququart("t5", 0.5)
         with pytest.raises(ValueError):
             constant_invariant_surface_ququart("t3", 0.01)
+        with pytest.raises(ValueError, match=r"^t4 must lie in \[1/64, 1\], got 0\.01$"):
+            constant_invariant_surface_ququart("t4", 0.01)
 
 
 class TestBoundary:
@@ -230,6 +241,12 @@ class TestBoundary:
         assert zero.meta["zero_eigenvalue_left_endpoint"] == 0.5
         np.testing.assert_allclose(zero.points[0], [0.5, 0.25], atol=1e-10)
         np.testing.assert_allclose(zero.points[-1], [1.0, 1.0], atol=1e-14)
+
+    def test_sample_count_validation(self):
+        with pytest.raises(ValueError, match="need at least 2 samples per arc"):
+            t_space_boundary_qutrit(1)
+        with pytest.raises(ValueError, match="need at least 2 samples per segment"):
+            lambda_segment_images(1)
 
     def test_pieces_close_at_t_vertices(self):
         upper, lower, zero = t_space_boundary_qutrit(512)
@@ -320,6 +337,15 @@ class TestPermutationImages:
         curve = lambda_segment_images(4)[0]
         with pytest.raises(ValueError):
             permutation_images(curve)
+
+
+def test_param_curve_lengths_checked():
+    with pytest.raises(ValueError, match="points and parameter must have equal length"):
+        ParamCurve(space="p", points=np.zeros((3, 3)), parameter=np.zeros(2),
+                   physical=np.ones(2, dtype=bool))
+    with pytest.raises(ValueError, match="physical mask must match the parameter length"):
+        ParamCurve(space="p", points=np.zeros((3, 3)), parameter=np.zeros(3),
+                   physical=np.ones(2, dtype=bool))
 
 
 def test_physical_points_always_satisfy_simplex_invariants():

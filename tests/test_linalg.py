@@ -59,6 +59,8 @@ def test_real_roots_rejects_bad_input():
         real_roots([0.0, 0.0])
     with pytest.raises(ValueError):
         real_roots([1.0] * 6)
+    with pytest.raises(ValueError, match=r"shape \(N, d\+1\) with d <= 4, got \(2, 6\)"):
+        real_roots_batch(np.ones((2, 6)))
 
 
 def _case_from_roots(rng):

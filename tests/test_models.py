@@ -107,6 +107,10 @@ class TestLMGSpectrum:
             spec.energies, np.linalg.eigvalsh(lmg_hamiltonian(2, params)), atol=1e-10
         )
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            lmg_spectrum(1, LMGParams(omega=1.0), method="bogus")
+
     def test_labels_follow_sorted_levels(self):
         spec = lmg_spectrum(1, LMGParams(omega=1.0, g_x=0.0, g_y=0.0))
         # E2 = -2, E1 = 0, E3 = 2 at zero couplings
@@ -295,6 +299,8 @@ class TestPhaseGrid:
         {"beta": -0.5},
         {"beta": math.nan},
         {"beta": math.inf},
+        {"coords": "bogus"},
+        {"g_minus_grid": [[0.0, 1.0]]},
     ])
     @pytest.mark.parametrize("coords", ["gpm", "gxy"])
     def test_rejects_invalid_inputs(self, change, coords):

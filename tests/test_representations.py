@@ -314,9 +314,13 @@ class TestPositivity:
 
 class TestOrbits:
     def test_generic_point(self):
-        pat = orbit_classification([0.5, 0.3, 0.2], tol=1e-9)
+        pat = orbit_classification([0.5, 0.3, 0.2])
         assert pat.multiplicities == (1, 1, 1)
         assert pat.orbit_dimension == 6
+
+    def test_rejects_a_stack_of_states(self):
+        with pytest.raises(ValueError, match="takes a single probability vector"):
+            orbit_classification(np.full((2, 3), 1 / 3))
 
     def test_double_degeneracy(self):
         pat = orbit_classification([0.4, 0.4, 0.2])

@@ -24,6 +24,10 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum(energies=[1.0])
 
+    def test_requires_finite_energies(self):
+        with pytest.raises(ValueError, match="energies must be finite"):
+            Spectrum(energies=[0.0, math.inf])
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
             Spectrum(energies=[0.0, 1.0], labels=("a",))
@@ -75,6 +79,8 @@ class TestGibbs:
         np.testing.assert_allclose(state.p, [1.0, 0.0, 0.0], atol=1e-300)
         assert math.isfinite(state.Z)
         assert state.log_z_unshifted == pytest.approx(5e4, rel=1e-12)
+        # the raw-energy partition function e^1000 overflows to inf
+        assert gibbs_state(Spectrum(energies=[-1000.0, 0.0]), 1.0).z_unshifted == math.inf
 
 
 class TestEndpoints:
@@ -93,8 +99,9 @@ class TestEndpoints:
         )
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            endpoint_state(linear_spectrum(1), "warm")
+        for which in ("warm", "zero-temperature", "infinite-temperature"):
+            with pytest.raises(ValueError, match="which must be 'zero' or 'infinite'"):
+                endpoint_state(linear_spectrum(1), which)
 
 
 class TestTrajectory:
@@ -169,9 +176,12 @@ class TestTrajectory:
 
     def test_non_finite_occupations_rejected(self):
         # the level spacing overflows to inf, so beta = 0 gives 0 * inf = NaN weights
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="non-finite"):
-            trajectory(Spectrum([-1e308, 1e308]), [0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum = Spectrum([-1e308, 1e308])
+            with pytest.raises(ValueError, match="non-finite"):
+                trajectory(spectrum, [0.0])
+            with pytest.raises(ValueError, match="non-finite"):
+                gibbs_state(spectrum, 0.0)
 
 
 def test_thermodynamic_identity_random_spectra():
