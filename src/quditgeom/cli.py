@@ -15,7 +15,10 @@ round-trip float formatting) plus a JSON sidecar ``<out>.meta.json``
 echoing the configuration, the column schema, node counts and any notes
 about closed forms that disagree with the invariant map.  Each dataset is
 built as named numpy columns and written column by column in bounded
-chunks of rows.  Both files are written atomically: into temporary files
+chunks of rows.  Only one chunk of cell texts is held at a time, plus one
+text per distinct value of each float column with at most half its rows
+distinct: such a column formats each distinct value once and looks its
+cells up.  Both files are written atomically: into temporary files
 in the destination directory, moved into place with ``os.replace`` only
 once both are complete (the data file last, and the sidecar removed again
 if that move fails), so a failed run leaves neither new file behind.
@@ -386,8 +389,9 @@ _BUILDERS = {
 # output
 
 #: cells formatted and written at a time (whole rows, at least one): only
-#: one chunk of cell strings is ever held, so the text adds a fixed amount
-#: to peak memory however wide or long the table is
+#: one chunk of cell strings is ever held, plus one text per distinct value
+#: of each float column longer than this whose rows are at most half
+#: distinct (see ``_column_cells``)
 _CHUNK_CELLS = 2048
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -417,6 +421,31 @@ def _cells(column: np.ndarray, *, for_json: bool) -> list:
     return [quoted[text] for text in texts]
 
 
+def _half_distinct(values: np.ndarray):
+    """The distinct values of a float array, ascending, when there are at
+    most half as many as entries; else None.  Each NaN counts as distinct."""
+    ordered = np.sort(values)
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    return distinct if 2 * distinct.size <= values.size else None
+
+
+def _column_cells(column: np.ndarray, *, for_json: bool):
+    """A function from each slice of ``column`` to its cells, as ``_cells``.
+
+    A float column longer than ``_CHUNK_CELLS`` rows whose values repeat
+    (a strided sample of about ``_CHUNK_CELLS`` of them, and then the whole
+    column, at most half distinct) formats each distinct value once; its
+    slices look their cells up by ``np.searchsorted``.
+    """
+    repeats = (column.dtype.kind == "f" and column.size > _CHUNK_CELLS
+               and _half_distinct(column[::column.size // _CHUNK_CELLS]) is not None)
+    distinct = _half_distinct(column) if repeats else None
+    if distinct is None:
+        return lambda part: _cells(part, for_json=for_json)
+    texts = _cells(distinct, for_json=for_json)
+    return lambda part: list(map(texts.__getitem__, distinct.searchsorted(part).tolist()))
+
+
 def _text_chunks(dataset: Dataset, separators: list, *, for_json: bool):
     """The rows as text, one string per chunk of rows.
 
@@ -425,9 +454,10 @@ def _text_chunks(dataset: Dataset, separators: list, *, for_json: bool):
     join, so no string per row is built.
     """
     columns = list(dataset.columns.values())
+    formats = [_column_cells(col, for_json=for_json) for col in columns]
     rows = max(1, _CHUNK_CELLS // len(columns))
     for start in range(0, len(dataset), rows):
-        cells = [_cells(col[start:start + rows], for_json=for_json) for col in columns]
+        cells = [cells_of(col[start:start + rows]) for cells_of, col in zip(formats, columns)]
         fill = [itertools.repeat(sep, len(cells[0])) for sep in separators]
         streams = [stream for pair in zip(fill, cells) for stream in pair] + fill[-1:]
         yield "".join(itertools.chain.from_iterable(zip(*streams)))
@@ -515,24 +545,80 @@ def _write_outputs(path: str, args, dataset: Dataset) -> None:
                 os.remove(temp)
 
 
-def _read_columns(path: str, fmt: str) -> tuple:
-    """Column names and a list of cell values per column."""
+def _is_p(name: str) -> bool:
+    return name.startswith("p") and name[1:].isdigit()
+
+
+class _KeptKeys(dict):
+    """Whether ``_read_columns`` keeps a JSON key, worked out once per key."""
+
+    def __missing__(self, key: str) -> bool:
+        self[key] = keep = key in ("columns", "rows", "physical") or _is_p(key)
+        return keep
+
+
+def _physical(cells) -> np.ndarray:
+    """Which cells of the physical column read 1 (as ``1`` or ``1.0``)."""
+    return np.isin(np.asarray(cells, dtype=str), ("1", "1.0"))
+
+
+def _read_columns(path: str, fmt: str):
+    """The p columns and ``physical`` of an exported file, or None without them.
+
+    Returns ``(p, unreadable, physical)``: one row of p per data row (NaN
+    where a cell does not read as a number), a mask of the rows with such a
+    cell and a mask of the rows whose physical cell reads 1.  Only these
+    columns are kept.  A CSV file is read by one ``np.loadtxt``, and again
+    by ``csv.reader`` cell by cell when that meets a cell it cannot parse.
+    Raises ValueError or ``csv.Error`` when the file itself does not parse.
+    """
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            columns = next(reader)
-            rows = list(reader)
-        cells = list(zip(*rows)) if rows else [()] * len(columns)
-        return columns, dict(zip(columns, cells))
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    columns = payload["columns"]
-    return columns, {col: [row.get(col) for row in payload["rows"]] for col in columns}
+            names = next(csv.reader(handle), [])
+            wanted = [i for i, name in enumerate(names) if _is_p(name)]
+            if not wanted or "physical" not in names:
+                return None
+            wanted.append(names.index("physical"))
+            # physical is compared with "1" and "1.0": a longer cell cut to
+            # four characters still differs from both
+            dtype = [(f"p{i}", float) for i in wanted[:-1]] + [("physical", "U4")]
+            try:
+                table = np.loadtxt(handle, dtype=dtype, delimiter=",", quotechar='"',
+                                   comments=None, usecols=wanted, ndmin=1)
+            except ValueError:
+                handle.seek(0)
+                # np.loadtxt skips blank lines, so the row numbers skip them here too
+                rows = [row for row in itertools.islice(csv.reader(handle), 1, None) if row]
+            else:
+                p = np.column_stack([table[name] for name in table.dtype.names[:-1]])
+                return p, np.zeros(len(table), dtype=bool), _physical(table["physical"])
+        for number, row in enumerate(rows, start=2):
+            if len(row) <= max(wanted):
+                raise ValueError(f"row {number} has {len(row)} of {len(names)} fields")
+        cells = {i: [row[i] for row in rows] for i in wanted}
+        physical = cells.pop(wanted[-1])
+    else:
+        # each object keeps only the keys read here, as it is decoded: the
+        # other cells of a row are freed at once, not held for the whole
+        # file, and each row is a small dict rather than one of every column
+        kept = _KeptKeys()
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle, object_pairs_hook=lambda pairs: {
+                key: value for key, value in pairs if kept[key]})
+        names = payload["columns"]
+        if "physical" not in names or not any(map(_is_p, names)):
+            return None
+        rows = payload["rows"]
+        cells = {name: [row.get(name) for row in rows] for name in names if _is_p(name)}
+        physical = [row.get("physical") for row in rows]
+    read = [_floats(column) for column in cells.values()]
+    p = np.column_stack([values for values, _ in read])
+    unreadable = np.column_stack([bad for _, bad in read]).any(axis=1)
+    return p, unreadable, _physical(physical)
 
 
-def _floats(values) -> tuple:
+def _floats(values: list) -> tuple:
     """Values as floats, and a mask of those that do not read as a number."""
-    values = list(values)
     try:
         if None not in values:
             return np.array(values, dtype=float), np.zeros(len(values), dtype=bool)
@@ -549,20 +635,21 @@ def _floats(values) -> tuple:
 
 
 def _validate_output(path: str, fmt: str, args) -> list:
-    """Re-read the emitted file and re-check all physical rows."""
-    columns, cells = _read_columns(path, fmt)
-    p_cols = [c for c in columns if c.startswith("p") and c[1:].isdigit()]
-    if not p_cols or "physical" not in columns:
+    """Re-read the p columns and ``physical`` of the emitted file and
+    re-check all physical rows."""
+    try:
+        read = _read_columns(path, fmt)
+    except (ValueError, csv.Error) as exc:
+        return [f"cannot parse the {fmt.upper()} file: {exc}"]
+    if read is None:
         return []
+    p, unreadable, physical = read
     target = None
     if args.command == "locus":
         for name in ("t2", "t3", "t4"):
             if getattr(args, name, None) is not None:
                 target = (int(name[1]), getattr(args, name))
-    physical = np.isin(np.array(cells["physical"], dtype=str), ("1", "1.0"))
-    read = [_floats(cells[c]) for c in p_cols]
-    p = np.column_stack([values for values, _ in read])
-    unreadable = physical & np.column_stack([bad for _, bad in read]).any(axis=1)
+    unreadable = physical & unreadable
     nonfinite = physical & ~unreadable & ~np.isfinite(p).all(axis=1)
     checked = physical & ~unreadable & ~nonfinite
     with np.errstate(invalid="ignore", over="ignore"):  # unchecked rows may hold anything

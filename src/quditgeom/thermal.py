@@ -40,7 +40,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Energy levels sorted ascending, with optional level labels."""
+    """Energy levels sorted ascending, with optional level labels.
+
+    The levels and their spread h_n - h_1 must be finite floats.
+    """
 
     energies: np.ndarray
     labels: tuple | None = None
@@ -51,8 +54,11 @@ class Spectrum:
             raise ValueError("a spectrum needs at least 2 one-dimensional energies")
         if not np.all(np.isfinite(energies)):
             raise ValueError("energies must be finite")
-        if np.any(np.diff(energies) < 0):
+        if np.any(energies[1:] < energies[:-1]):
             raise ValueError("energies must be sorted ascending")
+        # Python floats: a spread past the float range is inf, with no warning
+        if math.isinf(float(energies[-1]) - float(energies[0])):
+            raise ValueError("the energy spread h_n - h_1 overflows a float")
         energies = energies.copy()
         energies.setflags(write=False)
         object.__setattr__(self, "energies", energies)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -517,6 +518,179 @@ class TestValidate:
         assert capsys.readouterr().err == "".join(
             f"validate: row {row}: t2 deviates from 0.5\n" for row in range(2, 22))
         assert sorted(os.listdir(tmp_path)) == ["locus.csv", "locus.csv.meta.json"]
+
+    @pytest.mark.parametrize("fmt, grid, message", [
+        ("csv", "4", "cannot parse the CSV file: row 3 has 1 of 8 fields"),
+        ("csv", "60", "cannot parse the CSV file: field larger than field limit (131072)"),
+        ("json", "4", "cannot parse the JSON file: Unterminated string starting at: "
+                      "line 85 column 4 (char 1140)"),
+    ], ids=["csv-short-row", "csv-field-limit", "json-truncated"])
+    def test_file_that_does_not_parse_is_one_problem(self, tmp_path, monkeypatch, capsys,
+                                                      fmt, grid, message):
+        import quditgeom.cli as cli_mod
+
+        write_outputs = cli_mod._write_outputs
+
+        def write_then_break(path, args, dataset):
+            # an unterminated quote opening the second data row, or half a JSON file
+            write_outputs(path, args, dataset)
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            if fmt == "json":
+                text = text[: len(text) // 2]
+            else:
+                header, first, rest = text.split("\n", 2)
+                text = f'{header}\n{first}\n"{rest}'
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+
+        monkeypatch.setattr(cli_mod, "_write_outputs", write_then_break)
+        out = tmp_path / f"grid.{fmt}"
+        code = main(["map", "--n", "3", "--grid", grid, "--format", fmt, "--validate",
+                     "--out", str(out)])
+        assert code == cli_mod.EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"validate: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == [f"grid.{fmt}", f"grid.{fmt}.meta.json"]
+
+
+def _csv_file(path, header, rows, *, blank_after=None):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for number, row in enumerate(rows):
+            writer.writerow(row)
+            if number == blank_after:
+                handle.write("\n")
+
+
+class TestCsvReadBack:
+    """The one-call ``np.loadtxt`` read of a CSV file and the ``csv.reader``
+    fallback give the same columns and the same problems."""
+
+    HEADER = ["label", "p1", "p2", "p3", "physical"]
+
+    def _quoted(self, path):
+        _csv_file(path, self.HEADER, [
+            ("line\nbreak", 0.5, 0.25, 0.25, 1),
+            ("c,omma", 0.5, 0.5, 0.5, 1),
+            ('q"uote', 0.2, 0.3, 0.5, 1),
+            ("ok", 0.25, 0.5, 0.25, 1),
+            ("#hash", 0.2, 0.3, 0.5, 1),
+        ], blank_after=2)
+
+    def _unreadable(self, path):
+        _csv_file(path, self.HEADER, [
+            ("a", "x", 0.5, 0.5, 1),
+            ("b", "nan", 0.5, 0.5, 1),
+            ("c", "", 0.5, 0.5, 0),
+            ("d", 0.5, 0.25, 0.25, 1),
+        ])
+
+    def _physical_float(self, path):
+        _csv_file(path, self.HEADER, [
+            ("a", 0.5, 0.25, 0.25, "1.0"),
+            ("b", 0.5, 0.5, 0.5, "1.0"),
+            ("c", 0.5, 0.5, 0.5, "1.00"),
+            ("d", 0.5, 0.5, 0.5, "0.0"),
+        ])
+
+    def _map(self, path):
+        assert main(["map", "--n", "4", "--grid", "12", "--out", str(path)]) == EXIT_OK
+
+    def _flower(self, path):
+        assert main(["flower", "--model", "lmg", "--J", "2", "--gx", "0.7", "--gy", "-1.3",
+                     "--beta-grid", "0,log:1e-2:1e2:20", "--out", str(path)]) == EXIT_OK
+
+    OFF_SIMPLEX = ["row 3: p violates the simplex constraints", "row 3: t2 deviates from 0.375"]
+
+    @pytest.mark.parametrize("make, loadtxt_reads, problems", [
+        ("_quoted", True, OFF_SIMPLEX + ["row 4: t2 deviates from 0.375",
+                                         "row 6: t2 deviates from 0.375"]),
+        ("_unreadable", False, ["row 2: physical row has unreadable p",
+                                "row 3: physical row has non-finite p"]),
+        ("_physical_float", True, OFF_SIMPLEX),
+        ("_map", True, None),  # t2 misses 0.375 on most rows: long lists to compare
+        ("_flower", True, None),
+    ])
+    def test_loadtxt_and_csv_reader_agree(self, tmp_path, monkeypatch, make, loadtxt_reads,
+                                          problems):
+        import quditgeom.cli as cli_mod
+
+        path = tmp_path / "table.csv"
+        getattr(self, make)(path)
+        args = Namespace(command="locus", t2=0.375)
+        loadtxt, reads = np.loadtxt, []
+
+        def spy(*a, **k):
+            table = loadtxt(*a, **k)
+            reads.append(len(table))
+            return table
+
+        def refuse(*a, **k):
+            raise ValueError("refused")
+
+        def read_back():
+            return (cli_mod._read_columns(str(path), "csv"),
+                    cli_mod._validate_output(str(path), "csv", args))
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        (p, unreadable, physical), fast = read_back()
+        assert bool(reads) == loadtxt_reads
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        (p_slow, unreadable_slow, physical_slow), slow = read_back()
+        assert p.dtype == p_slow.dtype and p.shape == p_slow.shape
+        np.testing.assert_array_equal(p, p_slow)
+        assert np.array_equal(unreadable, unreadable_slow)
+        assert np.array_equal(physical, physical_slow)
+        assert fast == slow
+        assert problems is None or fast == problems
+
+
+class TestJsonReadBack:
+    """The JSON re-read keeps only the p and physical keys of each row as it
+    decodes, and reads what a plain ``json.load`` of the whole file holds."""
+
+    @staticmethod
+    def _plain(path):
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        names = [name for name in payload["columns"] if name[0] == "p" and name[1:].isdigit()]
+        cells = [[row.get(name) for name in names] for row in payload["rows"]]
+        p = np.array([[np.nan if c is None or isinstance(c, str) else c for c in row]
+                      for row in cells], dtype=float)
+        unreadable = np.array([any(c is None or isinstance(c, str) for c in row)
+                               for row in cells])
+        physical = np.array([str(row.get("physical")) in ("1", "1.0")
+                             for row in payload["rows"]])
+        return p, unreadable, physical
+
+    def _hand_made(self, path):
+        path.write_text(json.dumps({
+            "note": {"p1": 9, "rows": []},
+            "columns": ["label", "p1", "p2", "physical"],
+            "rows": [
+                {"physical": 1, "p2": 0.75, "label": {"p1": 5}, "p1": 0.25},
+                {"label": "x", "p1": 0.5, "physical": 1.0},   # p2 missing
+                {"p1": "x", "p2": 0.5, "physical": 0, "extra": [1, 2]},
+                {"p1": 0.5, "p2": 0.5, "physical": "1"},
+            ],
+        }))
+
+    def _map(self, path):
+        assert main(["map", "--n", "4", "--grid", "12", "--format", "json",
+                     "--out", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("make", ["_hand_made", "_map"])
+    def test_reads_what_json_load_holds(self, tmp_path, make):
+        import quditgeom.cli as cli_mod
+
+        path = tmp_path / "table.json"
+        getattr(self, make)(path)
+        p, unreadable, physical = cli_mod._read_columns(str(path), "json")
+        p_plain, unreadable_plain, physical_plain = self._plain(path)
+        np.testing.assert_array_equal(p, p_plain)
+        assert np.array_equal(unreadable, unreadable_plain)
+        assert np.array_equal(physical, physical_plain)
 
 
 class TestAtomicOutput:

@@ -4,6 +4,9 @@ Derandomized with a small example budget: every run checks the same
 examples, and the suite stays a few seconds long.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -25,6 +28,7 @@ from quditgeom import (
     polar_to_p,
     trajectory,
 )
+from quditgeom.cli import _CHUNK_CELLS, Dataset, _write_csv, _write_json
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -64,6 +68,53 @@ def gapped_spectra(draw):
     gaps = draw(st.lists(st.just(0.0) | st.floats(1e-3, 10.0),
                          min_size=n - 1, max_size=n - 1))
     return Spectrum(draw(st.floats(-50.0, 50.0)) + np.cumsum([0.0] + gaps))
+
+
+@st.composite
+def tables(draw):
+    """Float columns drawn from small pools, with the writer's special values
+    among them, plus int and text columns, some shorter and some longer than
+    ``_CHUNK_CELLS`` rows: one column repeats throughout, one is distinct
+    throughout and one repeats only on the rows a strided sample reads."""
+    rows = draw(st.integers(1, 40) | st.integers(_CHUNK_CELLS - 2, _CHUNK_CELLS + 2)
+                | st.integers(2 * _CHUNK_CELLS, 3 * _CHUNK_CELLS))
+    special = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16])
+    pool = np.array(draw(st.lists(special | st.floats(), min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    repeated = pool[rng.integers(0, pool.size, rows)]
+    stride = max(1, rows // _CHUNK_CELLS)
+    sampled = rng.normal(size=rows)
+    sampled[::stride] = repeated[::stride]
+    labels = np.array(["a", 'q"uote', "c,omma", "", "line\nbreak"])
+    return Dataset(columns={
+        "repeated": repeated,
+        "distinct": rng.normal(size=rows),
+        "sampled": sampled,
+        "count": rng.integers(-3, 3, rows),
+        "label": labels[rng.integers(0, labels.size, rows)],
+    })
+
+
+@settings(SETTINGS, max_examples=20)
+@given(tables())
+def test_writers_match_csv_writer_and_json_dumps(dataset):
+    names = list(dataset.columns)
+    rows = list(zip(*(col.tolist() for col in dataset.columns.values())))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([repr(x + 0.0) for x in row[:3]] + [repr(row[3]), row[4]] for row in rows)
+    got = io.StringIO()
+    _write_csv(got, dataset)
+    assert got.getvalue() == expected.getvalue()
+
+    payload = {"columns": names, "rows": [
+        dict(zip(names, [None if math.isnan(x) else x + 0.0 for x in row[:3]] + list(row[3:])))
+        for row in rows
+    ]}
+    got = io.StringIO()
+    _write_json(got, dataset)
+    assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
 
 
 @SETTINGS
