@@ -58,7 +58,7 @@ from .curves import (
 from .config import DEFAULT
 from .errors import DimensionError
 from .models import LMGParams, _check_spin, linear_spectrum, lmg_spectrum, phase_grid
-from .representations import check_probability_vector, invariants, p_to_lambda
+from .representations import _simplex_violations, check_probability_vector, invariants, p_to_lambda
 from .thermal import trajectory
 
 EXIT_OK = 0
@@ -291,13 +291,18 @@ def _build_phase_diagram(args) -> Dataset:
     return _node_table(lead, grid.p)
 
 
-def _build_locus(args) -> Dataset:
-    n = args.n
-    chosen = [(name, getattr(args, name)) for name in ("t2", "t3", "t4")
-              if getattr(args, name) is not None]
+def _locus_target(args) -> tuple:
+    """The one invariant target ``(name, value)`` of a locus run: --t2, --t3 or --t4."""
+    chosen = [(name, getattr(args, name, None)) for name in ("t2", "t3", "t4")
+              if getattr(args, name, None) is not None]
     if len(chosen) != 1:
         raise ConfigError("locus needs exactly one of --t2, --t3, --t4")
-    which, value = chosen[0]
+    return chosen[0]
+
+
+def _build_locus(args) -> Dataset:
+    n = args.n
+    which, value = _locus_target(args)
     if n == 3:
         if which == "t4":
             raise ConfigError("t4 is not defined for n = 3")
@@ -474,8 +479,7 @@ def _write_csv(handle, dataset: Dataset) -> None:
 
 def _write_json(handle, dataset: Dataset) -> None:
     """The bytes of ``json.dump({"columns": [...], "rows": [{...}, ...]},
-    indent=1)`` and a final newline, written one chunk of rows at a time
-    (at least one row: empty datasets are refused before writing)."""
+    indent=1)`` and a final newline, written one chunk of rows at a time."""
     keys = [json.dumps(name) for name in dataset.columns]
     handle.write('{\n "columns": [\n' + ",\n".join(f"  {key}" for key in keys)
                  + '\n ],\n "rows": [')
@@ -570,7 +574,9 @@ def _read_columns(path: str, fmt: str):
     cell and a mask of the rows whose physical cell reads 1.  Only these
     columns are kept.  A CSV file is read by one ``np.loadtxt``, and again
     by ``csv.reader`` cell by cell when that meets a cell it cannot parse.
-    Raises ValueError or ``csv.Error`` when the file itself does not parse.
+    Raises ValueError or ``csv.Error`` when the file itself does not parse,
+    or when a JSON file is not an object holding a ``columns`` list of names
+    and a ``rows`` list of objects.
     """
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8") as handle:
@@ -605,10 +611,15 @@ def _read_columns(path: str, fmt: str):
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle, object_pairs_hook=lambda pairs: {
                 key: value for key, value in pairs if kept[key]})
-        names = payload["columns"]
+        if not (isinstance(payload, dict) and isinstance(payload.get("columns"), list)
+                and isinstance(payload.get("rows"), list)
+                and all(isinstance(name, str) for name in payload["columns"])
+                and all(isinstance(row, dict) for row in payload["rows"])):
+            raise ValueError("not an object with a 'columns' list of names "
+                             "and a 'rows' list of objects")
+        names, rows = payload["columns"], payload["rows"]
         if "physical" not in names or not any(map(_is_p, names)):
             return None
-        rows = payload["rows"]
         cells = {name: [row.get(name) for row in rows] for name in names if _is_p(name)}
         physical = [row.get("physical") for row in rows]
     read = [_floats(column) for column in cells.values()]
@@ -636,7 +647,7 @@ def _floats(values: list) -> tuple:
 
 def _validate_output(path: str, fmt: str, args) -> list:
     """Re-read the p columns and ``physical`` of the emitted file and
-    re-check all physical rows."""
+    re-check all physical rows, with the simplex rule ``--point`` applies."""
     try:
         read = _read_columns(path, fmt)
     except (ValueError, csv.Error) as exc:
@@ -644,22 +655,17 @@ def _validate_output(path: str, fmt: str, args) -> list:
     if read is None:
         return []
     p, unreadable, physical = read
-    target = None
-    if args.command == "locus":
-        for name in ("t2", "t3", "t4"):
-            if getattr(args, name, None) is not None:
-                target = (int(name[1]), getattr(args, name))
     unreadable = physical & unreadable
     nonfinite = physical & ~unreadable & ~np.isfinite(p).all(axis=1)
     checked = physical & ~unreadable & ~nonfinite
     with np.errstate(invalid="ignore", over="ignore"):  # unchecked rows may hold anything
-        off_simplex = checked & ((np.abs(p.sum(axis=1) - 1.0) > _TEXT_SIMPLEX_SLACK)
-                                 | (p.min(axis=1) < -_TEXT_SIMPLEX_SLACK))
+        outside, defect = _simplex_violations(p, _TEXT_SIMPLEX_SLACK)
+        off_simplex = checked & (outside.any(axis=1) | (defect > 0.0))
         off_target = np.zeros_like(checked)
-        if target is not None:
-            ell, value = target
-            defect = np.abs((p**ell).sum(axis=1) - value)
-            off_target = checked & (defect > DEFAULT.invariant_recheck)
+        if args.command == "locus":
+            name, value = _locus_target(args)
+            t = invariants(p, validate=False)[:, int(name[1]) - 2]
+            off_target = checked & (np.abs(t - value) > DEFAULT.invariant_recheck)
     problems = []
     for i in np.flatnonzero(unreadable | nonfinite | off_simplex | off_target):
         row_number = int(i) + 2
@@ -671,7 +677,7 @@ def _validate_output(path: str, fmt: str, args) -> list:
             if off_simplex[i]:
                 problems.append(f"row {row_number}: p violates the simplex constraints")
             if off_target[i]:
-                problems.append(f"row {row_number}: t{target[0]} deviates from {target[1]!r}")
+                problems.append(f"row {row_number}: {name} deviates from {value!r}")
     return problems
 
 
@@ -774,9 +780,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if not len(dataset):
-        print("error: the requested grid produced no rows", file=sys.stderr)
-        return EXIT_CONFIG
     if dataset.failed_nodes and dataset.failed_nodes == len(dataset):
         print("numerical-failure: no node produced a finite result", file=sys.stderr)
         return EXIT_NUMERICAL

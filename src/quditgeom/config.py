@@ -8,9 +8,10 @@ the CLI uses for p read from text.
 
 A few fixed slacks that serve one site each are literals there instead:
 the CLI's simplex slack for p read from text (``cli._TEXT_SIMPLEX_SLACK``),
-the 1e-10 root slack of ``curves._smallest_admissible_root`` and the 1e-12
-test that 2J is an integer (``models._check_spin``, which ``cli._parse_spin``
-calls too).
+the 1e-10 root slack of ``curves._smallest_admissible_root``, the 1e-12
+closed-form match of ``curves.lambda_segment_images`` and the 1e-12 test that
+2J is an integer (``models._check_spin``, which ``cli._parse_spin`` calls
+too).
 """
 
 from dataclasses import dataclass

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT
 from .errors import DimensionError
 from .representations import _DerivedCoordinates, check_probability_vector
-from .thermal import Spectrum, _check_beta, _occupations
+from .thermal import Spectrum, _check_beta, _degeneracy_slack, _occupations
 
 __all__ = [
     "AngularMomentum",
@@ -287,8 +286,7 @@ def _classify(j: float, energies: np.ndarray, order: np.ndarray) -> tuple:
     ``DEFAULT.degeneracy * max(1, max|E|)`` of their row.
     """
     first, second = np.triu_indices(energies.shape[-1], 1)
-    scale = np.maximum(1.0, np.abs(energies).max(axis=-1, keepdims=True))
-    degenerate = np.abs(energies[:, first] - energies[:, second]) <= DEFAULT.degeneracy * scale
+    degenerate = np.abs(energies[:, first] - energies[:, second]) <= _degeneracy_slack(energies)
     ordered = ~degenerate.any(axis=-1)
     region = np.full(len(energies), "boundary")
     for labels, name in _REGION_BY_ORDER[j].items():
@@ -302,7 +300,7 @@ def _classify(j: float, energies: np.ndarray, order: np.ndarray) -> tuple:
 
 def _label_occupations(energies: np.ndarray, order: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs occupations of label-ordered levels, returned in label order."""
-    p_sorted = _occupations(np.take_along_axis(energies, order, axis=-1), beta)
+    p_sorted, _ = _occupations(np.take_along_axis(energies, order, axis=-1), beta)
     p = np.empty_like(p_sorted)
     np.put_along_axis(p, order, p_sorted, axis=-1)
     return p

@@ -98,6 +98,17 @@ def transformation_matrices(n: int):
     return m, m_inv
 
 
+def _simplex_violations(p: np.ndarray, tol: float) -> tuple:
+    """Where the vectors ``p`` (along the last axis) leave the simplex by more than ``tol``.
+
+    Returns ``(outside, defect)``: a mask of the components outside
+    ``[-tol, 1 + tol]``, and each vector's normalization defect
+    ``|sum p - 1|``, set to 0 where it is at most ``tol``.
+    """
+    defect = np.abs(p.sum(axis=-1) - 1.0)
+    return (p < -tol) | (p > 1.0 + tol), np.where(defect > tol, defect, 0.0)
+
+
 def check_probability_vector(p, tol: float | None = None, *, name: str = "p") -> np.ndarray:
     """Validate simplex membership of ``p`` (broadcasts over leading axes).
 
@@ -110,18 +121,17 @@ def check_probability_vector(p, tol: float | None = None, *, name: str = "p") ->
         raise DimensionError(f"{name} must have at least 2 components")
     if not np.all(np.isfinite(p)):
         raise ValueError(f"{name} contains non-finite entries")
-    bad = (p < -tol) | (p > 1.0 + tol)
-    if bad.any():
-        idx = tuple(np.argwhere(bad)[0])
+    outside, defect = _simplex_violations(p, tol)
+    if outside.any():
+        idx = tuple(np.argwhere(outside)[0])
         raise PositivityError(
             f"{name}[{idx[-1] + 1}] = {float(p[idx])!r} lies outside [0, 1]",
             component=int(idx[-1]) + 1,
             value=float(p[idx]),
         )
-    sums = p.sum(axis=-1)
-    if np.max(np.abs(sums - 1.0)) > tol:
-        worst = np.unravel_index(np.argmax(np.abs(sums - 1.0)), np.shape(sums) or (1,))
-        raise ValueError(f"{name} does not sum to 1 (defect {np.abs(sums - 1.0).max():.3e} at {worst})")
+    if defect.any():
+        worst = np.unravel_index(np.argmax(defect), np.shape(defect) or (1,))
+        raise ValueError(f"{name} does not sum to 1 (defect {defect.max():.3e} at {worst})")
     return p
 
 

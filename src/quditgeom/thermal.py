@@ -6,7 +6,11 @@ the maximum-entropy state at fixed mean energy.  Energies are shifted by
 the ground energy before exponentiation so that arbitrarily large beta
 never overflows; the shift is recorded on the state, making the
 unshifted partition function recoverable (in log form even where it
-would overflow as a float).
+would overflow as a float).  A weight whose exponent passes the float
+range is 0, with no warning.  ``_occupations`` is the one place that
+shifts, exponentiates and normalizes the weights, and
+``_degeneracy_slack`` the one place that decides which levels are
+degenerate; :mod:`quditgeom.models` calls both.
 
 Units: hbar = k_B = 1, so beta = 1/T and entropy is dimensionless.
 
@@ -120,17 +124,29 @@ class ThermalTrajectory(_DerivedCoordinates):
         return int(self.beta.size)
 
 
-def _occupations(energies: np.ndarray, beta) -> np.ndarray:
-    """Normalized ground-shifted Boltzmann weights.
+def _occupations(energies: np.ndarray, beta) -> tuple:
+    """Normalized ground-shifted Boltzmann weights and their sums.
 
     ``energies`` holds ascending levels along its last axis.  Either a
     beta grid over one spectrum (one row per beta) or one beta over a
-    stack of spectra (one row per spectrum).
+    stack of spectra (one row per spectrum).  Returns ``(p, z)``: the
+    occupations and, per row, the ground-shifted partition function.  A
+    weight whose exponent passes the float range is 0, with no warning.
     """
     shifted = energies - energies[..., :1]
-    x = -np.multiply.outer(np.asarray(beta, dtype=float), shifted)
-    w = np.exp(x)
-    return w / w.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # beta * shifted = inf gives the weight exp(-inf) = 0
+        w = np.exp(-np.multiply.outer(np.asarray(beta, dtype=float), shifted))
+    z = w.sum(axis=-1)
+    return w / z[..., None], z
+
+
+def _degeneracy_slack(energies: np.ndarray) -> np.ndarray:
+    """``DEFAULT.degeneracy * max(1, max|E|)`` over the last axis of ``energies``.
+
+    Two levels that differ by at most this are degenerate.  The result
+    keeps the last axis, with length 1, so it broadcasts against ``energies``.
+    """
+    return DEFAULT.degeneracy * np.maximum(1.0, np.abs(energies).max(axis=-1, keepdims=True))
 
 
 def _check_beta(beta) -> float:
@@ -151,14 +167,12 @@ def gibbs_state(spectrum: Spectrum, beta: float) -> ThermalState:
     """
     beta = _check_beta(beta)
     h = spectrum.energies
-    shifted = h - h[0]
-    weights = np.exp(-beta * shifted)
-    z = float(weights.sum())
-    p = check_probability_vector(weights / z)
+    p, z = _occupations(h, beta)
+    p = check_probability_vector(p)
     u = float(p @ h)
     s = -sum(x * math.log(x) for x in p.tolist() if x > 0.0)
     f = u - s / beta if beta > 0 else -math.inf
-    return ThermalState(beta=beta, p=p, Z=z, energy_shift=float(h[0]), U=u, S=s, F=f)
+    return ThermalState(beta=beta, p=p, Z=float(z), energy_shift=float(h[0]), U=u, S=s, F=f)
 
 
 def endpoint_state(spectrum: Spectrum, which: str) -> np.ndarray:
@@ -174,8 +188,7 @@ def endpoint_state(spectrum: Spectrum, which: str) -> np.ndarray:
     if which == "infinite":
         return np.full(n, 1.0 / n)
     if which == "zero":
-        scale = max(1.0, float(np.abs(h).max()))
-        ground = (h - h[0]) <= DEFAULT.degeneracy * scale
+        ground = (h - h[0]) <= _degeneracy_slack(h)
         return ground / ground.sum()
     raise ValueError(f"which must be 'zero' or 'infinite', got {which!r}")
 
@@ -203,5 +216,5 @@ def trajectory(spectrum: Spectrum, beta_grid=None) -> ThermalTrajectory:
         raise ValueError("beta grid entries must be finite and >= 0")
     if np.any(np.diff(beta_grid) < 0):
         raise ValueError("beta grid must be sorted ascending")
-    p = check_probability_vector(_occupations(spectrum.energies, beta_grid))
+    p = check_probability_vector(_occupations(spectrum.energies, beta_grid)[0])
     return ThermalTrajectory(spectrum=spectrum, beta=beta_grid, p=p)

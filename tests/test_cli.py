@@ -552,6 +552,53 @@ class TestValidate:
         assert capsys.readouterr().err == f"validate: {message}\n"
         assert sorted(os.listdir(tmp_path)) == [f"grid.{fmt}", f"grid.{fmt}.meta.json"]
 
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '"x"',
+        '{"columns": ["p1", "p2", "physical"]}',
+        '{"columns": ["p1", "p2", "physical"], "rows": [[0.5, 0.5, 1]]}',
+        '{"columns": 3, "rows": []}',
+    ], ids=["list", "string", "no-rows", "row-is-list", "columns-not-list"])
+    def test_json_of_another_shape_is_one_problem(self, tmp_path, monkeypatch, capsys, text):
+        import quditgeom.cli as cli_mod
+
+        write_outputs = cli_mod._write_outputs
+
+        def write_then_replace(path, args, dataset):
+            write_outputs(path, args, dataset)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+
+        monkeypatch.setattr(cli_mod, "_write_outputs", write_then_replace)
+        out = tmp_path / "grid.json"
+        code = main(["map", "--n", "2", "--grid", "2", "--format", "json", "--validate",
+                     "--out", str(out)])
+        assert code == cli_mod.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "validate: cannot parse the JSON file: not an object with a 'columns' list "
+            "of names and a 'rows' list of objects\n")
+        assert sorted(os.listdir(tmp_path)) == ["grid.json", "grid.json.meta.json"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_validate_and_point_apply_one_simplex_rule(self, tmp_path, capsys, fmt):
+        from quditgeom.cli import _validate_output
+
+        # within 1e-9 of summing to 1 and of 0, but p1 lies above 1 + 1e-9
+        row = "1.0000000015,-7.5e-10,-7.5e-10"
+        assert main(["map", "--n", "3", "--point", row, "--out", str(tmp_path / "p.csv")]) \
+            == EXIT_CONFIG
+        assert "is not a probability vector" in capsys.readouterr().err
+        path = tmp_path / f"v.{fmt}"
+        p = [float(x) for x in row.split(",")]
+        if fmt == "csv":
+            path.write_text(f"p1,p2,p3,physical\n{row},1\n")
+        else:
+            path.write_text(json.dumps({"columns": ["p1", "p2", "p3", "physical"],
+                                        "rows": [{"p1": p[0], "p2": p[1], "p3": p[2],
+                                                  "physical": 1}]}))
+        assert _validate_output(str(path), fmt, Namespace(command="map")) == [
+            "row 2: p violates the simplex constraints"]
+
 
 def _csv_file(path, header, rows, *, blank_after=None):
     with open(path, "w", newline="", encoding="utf-8") as handle:

@@ -8,6 +8,9 @@ import csv
 import io
 import json
 import math
+import os
+import tempfile
+from argparse import Namespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from quditgeom import (
     DEFAULT,
     LMGParams,
     Spectrum,
+    check_probability_vector,
     classify_region,
     endpoint_state,
     gibbs_state,
@@ -28,7 +32,7 @@ from quditgeom import (
     polar_to_p,
     trajectory,
 )
-from quditgeom.cli import _CHUNK_CELLS, Dataset, _write_csv, _write_json
+from quditgeom.cli import _CHUNK_CELLS, Dataset, _validate_output, _write_csv, _write_json
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -68,6 +72,25 @@ def gapped_spectra(draw):
     gaps = draw(st.lists(st.just(0.0) | st.floats(1e-3, 10.0),
                          min_size=n - 1, max_size=n - 1))
     return Spectrum(draw(st.floats(-50.0, 50.0)) + np.cumsum([0.0] + gaps))
+
+
+@st.composite
+def near_simplex_boundary(draw):
+    """A simplex point with zeros, or a vertex, moved by a few 1e-9 per
+    component: its components and its sum fall on either side of the 1e-9
+    slack, and a component of 1 moves above 1 + 1e-9 with the sum kept."""
+    n = draw(st.integers(2, 6))
+    weights = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=float)
+    if weights.sum() == 0.0 or draw(st.booleans()):
+        weights = np.eye(n)[draw(st.integers(0, n - 1))]
+    p = weights / weights.sum()
+    step = st.sampled_from([0.0, 7.5e-10, -7.5e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9])
+    shifts = np.array(draw(st.lists(step | st.floats(-3e-9, 3e-9), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        # the largest component takes up what the others move, give or take a step
+        k = int(np.argmax(p))
+        shifts[k] = draw(step) - (shifts.sum() - shifts[k])
+    return p + shifts
 
 
 @st.composite
@@ -115,6 +138,24 @@ def test_writers_match_csv_writer_and_json_dumps(dataset):
     got = io.StringIO()
     _write_json(got, dataset)
     assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
+
+
+@SETTINGS
+@given(near_simplex_boundary(), st.sampled_from(["csv", "json"]))
+def test_validate_flags_a_row_exactly_when_the_point_check_refuses_it(p, fmt):
+    dataset = Dataset(columns={**{f"p{i}": np.array([x]) for i, x in enumerate(p, start=1)},
+                               "physical": np.array([1])})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"row.{fmt}")
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            (_write_csv if fmt == "csv" else _write_json)(handle, dataset)
+        flagged = _validate_output(path, fmt, Namespace(command="map"))
+    try:
+        check_probability_vector(p, tol=1e-9)
+    except ValueError:
+        assert flagged == ["row 2: p violates the simplex constraints"]
+    else:
+        assert flagged == []
 
 
 @SETTINGS

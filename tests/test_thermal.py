@@ -1,15 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from quditgeom import (
+    LMGParams,
     Spectrum,
     default_beta_grid,
     endpoint_state,
     gibbs_state,
     invariants,
+    label_ordered_occupations,
     linear_spectrum,
+    phase_grid,
     t_vertices,
     trajectory,
 )
@@ -180,6 +184,21 @@ class TestTrajectory:
         # 0 * inf = NaN: the spectrum is refused when built, with no warning
         with pytest.raises(ValueError, match="energy spread h_n - h_1 overflows a float"):
             Spectrum([-1e308, 1e308])
+
+    @pytest.mark.parametrize("call, ground", [
+        (lambda: gibbs_state(Spectrum([0.0, 1e300]), 1e10).p, 0),
+        (lambda: trajectory(Spectrum([0.0, 1e300]), [0.0, 1e10]).p[-1], 0),
+        # label order: E = (6, 1, 5) at g_minus = 0, g_plus = 3
+        (lambda: phase_grid(1, [0.0], [3.0], beta=1e308).p[0], 1),
+        # label order: E2 is the lowest of the four levels at g_x = 0.5, g_y = 0
+        (lambda: label_ordered_occupations(1.5, LMGParams(g_x=0.5), 1e308), 1),
+    ], ids=["gibbs_state", "trajectory", "phase_grid", "label_ordered_occupations"])
+    def test_weights_past_the_float_range_are_zero_without_a_warning(self, call, ground):
+        # beta times a level spacing overflows to inf: exp(-inf) = 0 is its weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = call()
+        assert np.array_equal(p, np.eye(len(p))[ground])
 
 
 def test_thermodynamic_identity_random_spectra():
