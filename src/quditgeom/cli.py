@@ -23,6 +23,13 @@ in the destination directory, moved into place with ``os.replace`` only
 once both are complete (the data file last, and the sidecar removed again
 if that move fails), so a failed run leaves neither new file behind.
 
+``--validate`` re-reads only the p columns and ``physical`` of the data
+file: a CSV file in one ``np.loadtxt`` call, a JSON file streamed in
+fixed blocks of bytes, each element of its ``rows`` decoded in turn by
+json's own scanner, so that memory does not grow with the file beyond
+the kept cells.  A JSON file must hold ``columns`` before ``rows``, the
+order the writer emits.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure with zero successful nodes (also used when --validate finds a
 violation).
@@ -31,11 +38,15 @@ violation).
 from __future__ import annotations
 
 import argparse
+import array
+import codecs
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -553,17 +564,217 @@ def _is_p(name: str) -> bool:
     return name.startswith("p") and name[1:].isdigit()
 
 
-class _KeptKeys(dict):
-    """Whether ``_read_columns`` keeps a JSON key, worked out once per key."""
-
-    def __missing__(self, key: str) -> bool:
-        self[key] = keep = key in ("columns", "rows", "physical") or _is_p(key)
-        return keep
-
-
 def _physical(cells) -> np.ndarray:
     """Which cells of the physical column read 1 (as ``1`` or ``1.0``)."""
     return np.isin(np.asarray(cells, dtype=str), ("1", "1.0"))
+
+
+#: bytes the JSON re-read decodes at a time (more only while one value of
+#: the file is longer than what is held)
+_JSON_BLOCK = 1 << 15
+_JSON_WS = json.decoder.WHITESPACE.match
+_JSON_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
+_JSON_SCAN = json.JSONDecoder().scan_once
+
+
+class _JsonText:
+    """The text of a JSON file, as ``json.load`` decodes it, held a block at
+    a time.
+
+    ``text[pos:]`` is the part not consumed yet.  Each read drops the
+    consumed part and keeps count of its characters and newlines, so that
+    errors name the line, column and character of the whole file, as
+    ``json.load`` does.
+    """
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.decoder = io.IncrementalNewlineDecoder(self.utf8, translate=True)
+        self.bytes_read = 0
+        self.text, self.pos = "", 0
+        self.offset = 0       # characters of the file before text[0]
+        self.lines = 0        # newlines among them
+        self.line_start = 0   # the offset where the line of text[0] starts
+        self.eof = False
+
+    def more(self) -> bool:
+        """Drop the consumed text and read at least one block more (at
+        least as much as is held); False at the end of the file."""
+        pos = self.pos
+        newline = self.text.rfind("\n", 0, pos)
+        if newline >= 0:
+            self.lines += self.text.count("\n", 0, pos)
+            self.line_start = self.offset + newline + 1
+        self.offset += pos
+        self.text, self.pos = self.text[pos:], 0
+        size = max(_JSON_BLOCK, len(self.text))
+        while not self.eof:
+            data = self.handle.read(size)
+            self.eof = not data
+            start = self.bytes_read - len(self.utf8.buffer)
+            self.bytes_read += len(data)
+            try:
+                added = self.decoder.decode(data, final=self.eof)
+            except UnicodeDecodeError as exc:
+                raise _moved(exc, start) from None
+            del data
+            if added:
+                self.text += added
+                return True
+        return False
+
+    def error(self, msg: str, at: int) -> json.JSONDecodeError:
+        """The error ``json.load`` raises for ``msg`` at ``text[at]``."""
+        exc = json.JSONDecodeError(msg, "", 0)
+        newline = self.text.rfind("\n", 0, at)
+        exc.pos = self.offset + at
+        exc.lineno = self.lines + self.text.count("\n", 0, at) + 1
+        exc.colno = at - newline if newline >= 0 else exc.pos - self.line_start + 1
+        exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
+        return exc
+
+    def peek(self) -> str:
+        """The next character past whitespace, or "" at the end of the file."""
+        while True:
+            self.pos = _JSON_WS(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return self.text[self.pos]
+            if not self.more():
+                return ""
+
+    def expect(self, char: str, msg: str) -> None:
+        """Step past ``char``, the next character past whitespace, or raise ``msg``."""
+        if self.peek() != char:
+            raise self.error(msg, self.pos)
+        self.pos += 1
+
+    def value(self, scan=_JSON_SCAN):
+        """The value that ``scan(text, pos)`` decodes next, and step past it.
+
+        A value cut by the end of the text is read again with more text.
+        A number that ends there scans as a shorter one, and three more
+        characters decide that it ends ('.5', 'e7' and 'e-7' go on).  A
+        decode error stands once it lies 16 characters or more before the
+        end of the text, more than the longest token a cut can break
+        ('-Infinity'); an unterminated string only the end of the file
+        settles.
+        """
+        while True:
+            try:
+                value, end = scan(self.text, self.pos)
+            except StopIteration as exc:
+                msg, at = "Expecting value", exc.value
+            except json.JSONDecodeError as exc:
+                msg, at = exc.msg, exc.pos
+            else:
+                if end + 3 <= len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+                msg = None
+            if msg and (self.eof or at + 16 <= len(self.text)
+                        and not msg.startswith("Unterminated string")):
+                raise self.error(msg, at)
+            self.more()
+
+
+def _moved(exc: UnicodeDecodeError, start: int) -> ValueError:
+    """``exc``, raised on bytes that begin ``start`` bytes into the file,
+    as decoding the whole file reports it."""
+    first, last = exc.start + start, exc.end - 1 + start
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
+             else f"bytes in position {first}-{last}")
+    return ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+
+
+def _read_json_rows(source: _JsonText, p_keys):
+    """The elements of the array that opens at ``source.pos``, decoded one
+    at a time, as ``(p, unreadable, physical)``: the ``p_keys`` cells of
+    each row in an ``array('d')`` (NaN where a cell does not read as a
+    number), the indexes of the rows with such a cell and the ``physical``
+    cells.  None when an element is not an object, or when ``p_keys`` is
+    None: the elements are then only scanned."""
+    p, unreadable, physical = array.array("d"), array.array("q"), []
+    kept = p_keys is not None
+    source.pos += 1
+    closed = source.peek() == "]"
+    while not closed:
+        row = source.value()
+        if kept:
+            mark = len(p)
+            try:
+                p.extend(map(row.get, p_keys))
+                physical.append(row.get("physical"))
+            except AttributeError:     # not an object
+                kept = False
+            except (TypeError, OverflowError):    # a cell that is no real number
+                del p[mark:]
+                values, bad = _floats(list(map(row.get, p_keys)))
+                p.extend(values.tolist())
+                if bad.any():
+                    unreadable.append(len(physical))
+                physical.append(row.get("physical"))
+        # the comma and the whitespace before the next row, in one match
+        # when they end inside the text held
+        between = _JSON_COMMA(source.text, source.pos)
+        if between and between.end() < len(source.text):
+            source.pos = between.end()
+            continue
+        closed = source.peek() == "]"
+        if not closed:
+            source.expect(",", "Expecting ',' delimiter")
+            source.peek()
+    source.pos += 1
+    return (p, unreadable, physical) if kept else None
+
+
+def _read_json(handle):
+    """``(names, p_keys, rows)`` of a JSON export open in ``handle``: its
+    ``columns``, the distinct p names among them and what
+    ``_read_json_rows`` keeps of its ``rows``.
+
+    The file is read ``_JSON_BLOCK`` bytes at a time.  The top-level object
+    and each value in it but ``rows`` are decoded whole, and the elements of
+    ``rows`` one at a time.  ``columns`` must come before ``rows``, the
+    order the writer emits.  Raises ValueError as ``_read_columns`` does.
+    """
+    source = _JsonText(handle)
+    source.more()
+    if source.text.startswith("\ufeff"):
+        raise source.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    shaped = source.peek() == "{"
+    names = p_keys = read = None
+    if not shaped:
+        source.value()    # no export: decoded whole for its decode errors
+    else:
+        # the members, with the messages of json's own object parser
+        source.pos += 1
+        closed = source.peek() == "}"
+        while not closed:
+            source.expect('"', "Expecting property name enclosed in double quotes")
+            key = source.value(json.decoder.scanstring)
+            source.expect(":", "Expecting ':' delimiter")
+            if key == "rows" and source.peek() == "[":
+                names_ok = isinstance(names, list) and all(isinstance(name, str) for name in names)
+                p_keys = list(dict.fromkeys(filter(_is_p, names))) if names_ok else None
+                read = _read_json_rows(source, p_keys)
+            else:
+                source.peek()
+                value = source.value()
+                names = value if key == "columns" else names
+                if key in ("columns", "rows"):
+                    read = None    # rows that are no list, or columns after rows
+            closed = source.peek() == "}"
+            if not closed:
+                source.expect(",", "Expecting ',' delimiter")
+                source.peek()
+        source.pos += 1
+    if source.peek():
+        raise source.error("Extra data", source.pos)
+    if not shaped or read is None:
+        raise ValueError("not an object with a 'columns' list of names "
+                         "and a 'rows' list of objects")
+    return names, p_keys, read
 
 
 def _read_columns(path: str, fmt: str):
@@ -573,59 +784,52 @@ def _read_columns(path: str, fmt: str):
     where a cell does not read as a number), a mask of the rows with such a
     cell and a mask of the rows whose physical cell reads 1.  Only these
     columns are kept.  A CSV file is read by one ``np.loadtxt``, and again
-    by ``csv.reader`` cell by cell when that meets a cell it cannot parse.
-    Raises ValueError or ``csv.Error`` when the file itself does not parse,
-    or when a JSON file is not an object holding a ``columns`` list of names
-    and a ``rows`` list of objects.
+    by ``csv.reader`` cell by cell when that meets a cell it cannot parse;
+    a JSON file is streamed by ``_read_json``.  Raises ValueError or
+    ``csv.Error`` when the file itself does not parse, or when a JSON file
+    is not an object holding a ``columns`` list of names and then a
+    ``rows`` list of objects.
     """
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as handle:
-            names = next(csv.reader(handle), [])
-            wanted = [i for i, name in enumerate(names) if _is_p(name)]
-            if not wanted or "physical" not in names:
-                return None
-            wanted.append(names.index("physical"))
-            # physical is compared with "1" and "1.0": a longer cell cut to
-            # four characters still differs from both
-            dtype = [(f"p{i}", float) for i in wanted[:-1]] + [("physical", "U4")]
-            try:
-                table = np.loadtxt(handle, dtype=dtype, delimiter=",", quotechar='"',
-                                   comments=None, usecols=wanted, ndmin=1)
-            except ValueError:
-                handle.seek(0)
-                # np.loadtxt skips blank lines, so the row numbers skip them here too
-                rows = [row for row in itertools.islice(csv.reader(handle), 1, None) if row]
-            else:
-                p = np.column_stack([table[name] for name in table.dtype.names[:-1]])
-                return p, np.zeros(len(table), dtype=bool), _physical(table["physical"])
-        for number, row in enumerate(rows, start=2):
-            if len(row) <= max(wanted):
-                raise ValueError(f"row {number} has {len(row)} of {len(names)} fields")
-        cells = {i: [row[i] for row in rows] for i in wanted}
-        physical = cells.pop(wanted[-1])
-    else:
-        # each object keeps only the keys read here, as it is decoded: the
-        # other cells of a row are freed at once, not held for the whole
-        # file, and each row is a small dict rather than one of every column
-        kept = _KeptKeys()
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle, object_pairs_hook=lambda pairs: {
-                key: value for key, value in pairs if kept[key]})
-        if not (isinstance(payload, dict) and isinstance(payload.get("columns"), list)
-                and isinstance(payload.get("rows"), list)
-                and all(isinstance(name, str) for name in payload["columns"])
-                and all(isinstance(row, dict) for row in payload["rows"])):
-            raise ValueError("not an object with a 'columns' list of names "
-                             "and a 'rows' list of objects")
-        names, rows = payload["columns"], payload["rows"]
-        if "physical" not in names or not any(map(_is_p, names)):
+    if fmt == "json":
+        with open(path, "rb") as handle:
+            names, p_keys, (p, unreadable, physical) = _read_json(handle)
+        if not p_keys or "physical" not in names:
             return None
-        cells = {name: [row.get(name) for row in rows] for name in names if _is_p(name)}
-        physical = [row.get("physical") for row in rows]
-    read = [_floats(column) for column in cells.values()]
+        mask = np.zeros(len(physical), dtype=bool)
+        mask[np.asarray(unreadable, dtype=np.intp)] = True
+        return np.asarray(p).reshape(-1, len(p_keys)), mask, _physical(physical)
+    with open(path, newline="", encoding="utf-8") as handle:
+        names = next(csv.reader(handle), [])
+        wanted = [i for i, name in enumerate(names) if _is_p(name)]
+        if not wanted or "physical" not in names:
+            return None
+        wanted.append(names.index("physical"))
+        # physical is compared with "1" and "1.0": a longer cell cut to
+        # four characters still differs from both
+        dtype = [(f"p{i}", float) for i in wanted[:-1]] + [("physical", "U4")]
+        try:
+            table = np.loadtxt(handle, dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, usecols=wanted, ndmin=1)
+        except ValueError:
+            handle.seek(0)
+            # np.loadtxt skips blank lines, so the row numbers skip them here
+            # too; a short row is reported once the whole file has parsed
+            pick, last, kept, short = operator.itemgetter(*wanted), max(wanted), [], None
+            rows = filter(None, itertools.islice(csv.reader(handle), 1, None))
+            for number, row in enumerate(rows, start=2):
+                if len(row) > last:
+                    kept.extend(pick(row))
+                elif short is None:
+                    short = f"row {number} has {len(row)} of {len(names)} fields"
+        else:
+            p = np.column_stack([table[name] for name in table.dtype.names[:-1]])
+            return p, np.zeros(len(table), dtype=bool), _physical(table["physical"])
+    if short:
+        raise ValueError(short)
+    read = [_floats(kept[k::len(wanted)]) for k in range(len(wanted) - 1)]
     p = np.column_stack([values for values, _ in read])
     unreadable = np.column_stack([bad for _, bad in read]).any(axis=1)
-    return p, unreadable, _physical(physical)
+    return p, unreadable, _physical(kept[len(wanted) - 1::len(wanted)])
 
 
 def _floats(values: list) -> tuple:
@@ -633,14 +837,14 @@ def _floats(values: list) -> tuple:
     try:
         if None not in values:
             return np.array(values, dtype=float), np.zeros(len(values), dtype=bool)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     out = np.full(len(values), math.nan)
     unreadable = np.zeros(len(values), dtype=bool)
     for i, value in enumerate(values):
         try:
             out[i] = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             unreadable[i] = True
     return out, unreadable
 
@@ -705,7 +909,9 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated numbers and log:/lin: lo:hi:count specs")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="quditgeom",
         description="Export qudit simplex geometry, thermal trajectories and "

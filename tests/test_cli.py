@@ -552,6 +552,17 @@ class TestValidate:
         assert capsys.readouterr().err == f"validate: {message}\n"
         assert sorted(os.listdir(tmp_path)) == [f"grid.{fmt}", f"grid.{fmt}.meta.json"]
 
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_truncated_json_reads_alike_at_every_block_size(self, tmp_path, monkeypatch,
+                                                            capsys, block):
+        import quditgeom.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
+        self.test_file_that_does_not_parse_is_one_problem(
+            tmp_path, monkeypatch, capsys, "json", "4",
+            "cannot parse the JSON file: Unterminated string starting at: "
+            "line 85 column 4 (char 1140)")
+
     @pytest.mark.parametrize("text", [
         "[]",
         '"x"',
@@ -738,6 +749,95 @@ class TestJsonReadBack:
         np.testing.assert_array_equal(p, p_plain)
         assert np.array_equal(unreadable, unreadable_plain)
         assert np.array_equal(physical, physical_plain)
+
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("make", ["_hand_made", "_map"])
+    def test_block_size_does_not_matter(self, tmp_path, monkeypatch, make, block):
+        import quditgeom.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
+        self.test_reads_what_json_load_holds(tmp_path, make)
+
+    @pytest.mark.parametrize("text", [
+        '{"rows": [ROW], "columns": ["p1", "p2", "physical"]}',
+        '{"columns": ["p1", "physical"], "rows": [ROW], "columns": ["p1", "p2", "physical"]}',
+    ], ids=["rows-first", "columns-again-after-rows"])
+    def test_rows_before_columns_is_one_problem(self, tmp_path, text):
+        from quditgeom.cli import _validate_output
+
+        path = tmp_path / "table.json"
+        path.write_text(text.replace("ROW", '{"p1": 0.5, "p2": 0.5, "physical": 1}'))
+        assert _validate_output(str(path), "json", Namespace(command="map")) == [
+            "cannot parse the JSON file: not an object with a 'columns' list of names "
+            "and a 'rows' list of objects"]
+
+    def test_integer_too_large_for_a_float_is_unreadable(self, tmp_path):
+        from quditgeom.cli import _validate_output
+
+        path = tmp_path / "table.json"
+        path.write_text('{"columns": ["p1", "p2", "physical"], "rows": ['
+                        '{"p1": 0.5, "p2": 0.5, "physical": 1}, '
+                        f'{{"p1": {"9" * 400}, "p2": 0.5, "physical": 1}}]}}')
+        assert _validate_output(str(path), "json", Namespace(command="map")) == [
+            "row 3: physical row has unreadable p"]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_decode_errors_read_as_json_load_reports_them(self, tmp_path, monkeypatch, block):
+        import quditgeom.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
+        # a number that ends a member value may be cut by a block's end, and
+        # so may a literal or an escape
+        text = json.dumps({
+            "scale": -1.5e-3, "flags": [True, None, -math.inf, "\U0001f600"],
+            "columns": ["label", "p1", "physical"],
+            "rows": [{"label": "é€", "p1": 1e-7, "physical": 1}, {"p1": -0.5, "physical": 0}],
+        }, indent=1, ensure_ascii=False)
+        text = text.replace("\U0001f600", "\\ud83d\\ude00").replace("\n", "\r\n", 4)
+        raw = text.encode("utf-8")
+        variants = [raw[:cut] for cut in range(len(raw) + 1)]
+        variants += [raw[:at] + char + raw[at + 1:]
+                     for at in range(len(raw))
+                     for char in (b"x", b",", b"]", b"}", b"\\", b"\xff")]
+        variants += [b"\xef\xbb\xbf" + raw, raw + b" x", raw[:-1] + b"\xe2\x82"]
+        shape = "not an object with a 'columns' list of names and a 'rows' list of objects"
+        path = tmp_path / "table.json"
+        failed = 0
+        for data in variants:
+            path.write_bytes(data)
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    json.load(handle)
+            except ValueError as exc:
+                expected = str(exc)
+                failed += 1
+            else:
+                expected = None
+            try:
+                cli_mod._read_columns(str(path), "json")
+            except ValueError as exc:
+                assert str(exc) in (expected, shape), data
+            else:
+                assert expected is None, data
+        assert failed > len(raw)
+
+    def test_peak_memory_stays_below_half_the_file(self, tmp_path):
+        import tracemalloc
+
+        import quditgeom.cli as cli_mod
+
+        path = tmp_path / "map.json"
+        assert main(["map", "--n", "4", "--grid", "20", "--format", "json",
+                     "--out", str(path)]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            p, _, _ = cli_mod._read_columns(str(path), "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.shape == (1771, 4)
+        assert peak < os.path.getsize(path) / 2
 
 
 class TestAtomicOutput:
