@@ -25,10 +25,12 @@ if that move fails), so a failed run leaves neither new file behind.
 
 ``--validate`` re-reads only the p columns and ``physical`` of the data
 file: a CSV file in one ``np.loadtxt`` call, a JSON file streamed in
-fixed blocks of bytes, each element of its ``rows`` decoded in turn by
-json's own scanner, so that memory does not grow with the file beyond
-the kept cells.  A JSON file must hold ``columns`` before ``rows``, the
-order the writer emits.
+fixed blocks of bytes, so that memory does not grow with the file beyond
+the kept cells.  The rows of the block held that are laid out exactly as
+the writer emits them are read by one regex scan, which captures only
+their p and ``physical`` cells; json's own scanner decodes any other row,
+and every decode error reads as ``json.load`` reports it.  A JSON file
+must hold ``columns`` before ``rows``, the order the writer emits.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure with zero successful nodes (also used when --validate finds a
@@ -132,6 +134,9 @@ def _parse_spec(spec: str, what: str) -> tuple:
         if len(parts) != 3:
             raise ValueError("expected 'lo:hi:count'")
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        # a NaN endpoint makes NaN values, which are refused where they are read
+        if math.isinf(lo) or math.isinf(hi):
+            raise ValueError("lo and hi must be finite")
         if count < 1:
             raise ValueError("count must be >= 1")
     except ValueError as exc:
@@ -488,6 +493,17 @@ def _write_csv(handle, dataset: Dataset) -> None:
         handle.write(text)
 
 
+#: what separates two rows of a JSON export
+_JSON_ROW_JOIN = ",\n  "
+
+
+def _json_row_layout(names) -> list:
+    """The text around the cells of one row of a JSON export with columns
+    ``names``: ``layout[0] cell layout[1] ... cell layout[-1]``."""
+    keys = [json.dumps(name) for name in names]
+    return [f"{{\n   {keys[0]}: "] + [f",\n   {key}: " for key in keys[1:]] + ["\n  }"]
+
+
 def _write_json(handle, dataset: Dataset) -> None:
     """The bytes of ``json.dump({"columns": [...], "rows": [{...}, ...]},
     indent=1)`` and a final newline, written one chunk of rows at a time."""
@@ -496,17 +512,31 @@ def _write_json(handle, dataset: Dataset) -> None:
                  + '\n ],\n "rows": [')
     # every row opens with the ",\n" that separates it from the one before;
     # the first row of the file opens with "\n" instead
-    separators = [f",\n  {{\n   {keys[0]}: "] + [f",\n   {key}: " for key in keys[1:]] + ["\n  }"]
+    separators = _json_row_layout(dataset.columns)
+    separators[0] = _JSON_ROW_JOIN + separators[0]
     for number, text in enumerate(_text_chunks(dataset, separators, for_json=True)):
         handle.write(text if number else text[1:])
     handle.write("\n ]\n}\n")
 
 
+def _unread_options(args) -> set:
+    """The options of ``args`` that the run does not read: the output path,
+    which differs between runs of one configuration, the sample counts of
+    the locus kind not built and ``--grid`` beside ``--point``."""
+    unread = {"out"}
+    if args.command == "locus":
+        unread |= {"theta_samples", "phi_samples"} if args.n == 3 else {"samples"}
+    elif args.command == "map" and args.point:
+        unread.add("grid")
+    return unread
+
+
 def _sidecar(args, dataset: Dataset) -> dict:
+    unread = _unread_options(args)
     config = {
         key: value
         for key, value in sorted(vars(args).items())
-        if value is not None
+        if value is not None and key not in unread
     }
     return {
         "tool": "quditgeom",
@@ -573,8 +603,14 @@ def _physical(cells) -> np.ndarray:
 #: the file is longer than what is held)
 _JSON_BLOCK = 1 << 15
 _JSON_WS = json.decoder.WHITESPACE.match
-_JSON_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 _JSON_SCAN = json.JSONDecoder().scan_once
+#: JSON texts the layout fast path reads: a p cell is a float as the writer
+#: writes it (a number with a fraction or an exponent, NaN or +-Infinity);
+#: another cell any scalar json decodes alike, integers of at most 20
+#: digits (int() refuses very long ones, as json then does) and strings
+#: without escapes or control characters
+_JSON_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity"
+_JSON_SCALAR = rf'{_JSON_FLOAT}|-?(?:0|[1-9][0-9]{{0,19}})|"[^"\\\x00-\x1f]*"|true|false|null'
 
 
 class _JsonText:
@@ -687,18 +723,69 @@ def _moved(exc: UnicodeDecodeError, start: int) -> ValueError:
     return ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
 
 
-def _read_json_rows(source: _JsonText, p_keys):
+@functools.lru_cache(maxsize=64)
+def _json_rows_pattern(names: tuple):
+    """``(regex, p_at, physical_at)`` for the rows of a JSON export with
+    columns ``names`` in the exact layout ``_write_json`` emits; None unless
+    the names are distinct and hold ``physical``.
+
+    ``regex`` matches one row, then ``_JSON_ROW_JOIN`` when a ``{`` follows
+    it: so it stops where json's scanner would start on the next row.  It
+    captures the p cells and the physical cell of the row, in column order;
+    ``p_at`` and ``physical_at`` index them among its groups.
+    """
+    if "physical" not in names or len(set(names)) != len(names):
+        return None
+    cells = [f"({_JSON_FLOAT})" if _is_p(name) else "([01])" if name == "physical"
+             else f"(?:{_JSON_SCALAR})" for name in names]
+    layout = list(map(re.escape, _json_row_layout(names)))
+    row = "".join(itertools.chain.from_iterable(zip(layout, cells))) + layout[-1]
+    regex = re.compile(rf"{row}{re.escape(_JSON_ROW_JOIN)}(?=\{{)")
+    captured = [name for name in names if _is_p(name) or name == "physical"]
+    p_at = [i for i, name in enumerate(captured) if name != "physical"]
+    return regex, p_at, captured.index("physical")
+
+
+def _read_json_layout(source: _JsonText, pattern: tuple, p, physical) -> None:
+    """Step past the rows from ``source.pos`` on that the ``pattern`` of
+    ``_json_rows_pattern`` matches, adding their p cells to ``p`` and their
+    physical cells, as text, to ``physical``.
+
+    The regex's ``scanner`` (the matcher ``re.Scanner`` is built on)
+    matches each row where the one before it ends, and the matches are
+    collected and taken apart without a Python loop.
+    """
+    regex, p_at, physical_at = pattern
+    rows = list(iter(regex.scanner(source.text, source.pos).match, None))
+    if not rows:
+        return
+    source.pos = rows[-1].end()
+    cells = list(zip(*map(re.Match.groups, rows)))
+    texts = list(itertools.chain.from_iterable(zip(*map(cells.__getitem__, p_at))))
+    values = {text: float(text) for text in set(texts)}    # p cells repeat often
+    p.extend(map(values.__getitem__, texts))
+    physical.extend(cells[physical_at])
+
+
+def _read_json_rows(source: _JsonText, p_keys, pattern):
     """The elements of the array that opens at ``source.pos``, decoded one
     at a time, as ``(p, unreadable, physical)``: the ``p_keys`` cells of
     each row in an ``array('d')`` (NaN where a cell does not read as a
     number), the indexes of the rows with such a cell and the ``physical``
     cells.  None when an element is not an object, or when ``p_keys`` is
-    None: the elements are then only scanned."""
+    None: the elements are then only scanned.
+
+    Runs of rows in the writer's own layout are read by the ``pattern`` of
+    ``_json_rows_pattern``, when not None, in one regex scan; json's scanner
+    decodes each other row, and the pattern is tried again after it.
+    """
     p, unreadable, physical = array.array("d"), array.array("q"), []
     kept = p_keys is not None
     source.pos += 1
     closed = source.peek() == "]"
     while not closed:
+        if pattern is not None and kept:
+            _read_json_layout(source, pattern, p, physical)
         row = source.value()
         if kept:
             mark = len(p)
@@ -714,12 +801,6 @@ def _read_json_rows(source: _JsonText, p_keys):
                 if bad.any():
                     unreadable.append(len(physical))
                 physical.append(row.get("physical"))
-        # the comma and the whitespace before the next row, in one match
-        # when they end inside the text held
-        between = _JSON_COMMA(source.text, source.pos)
-        if between and between.end() < len(source.text):
-            source.pos = between.end()
-            continue
         closed = source.peek() == "]"
         if not closed:
             source.expect(",", "Expecting ',' delimiter")
@@ -757,7 +838,8 @@ def _read_json(handle):
             if key == "rows" and source.peek() == "[":
                 names_ok = isinstance(names, list) and all(isinstance(name, str) for name in names)
                 p_keys = list(dict.fromkeys(filter(_is_p, names))) if names_ok else None
-                read = _read_json_rows(source, p_keys)
+                pattern = _json_rows_pattern(tuple(names)) if names_ok else None
+                read = _read_json_rows(source, p_keys, pattern)
             else:
                 source.peek()
                 value = source.value()

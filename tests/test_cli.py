@@ -112,6 +112,27 @@ class TestThermalCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestSidecar:
+    @pytest.mark.parametrize("argv, unread", [
+        (["locus", "--n", "3", "--t3", "0.8", "--samples", "16"], {"theta_samples", "phi_samples"}),
+        (["locus", "--n", "4", "--t2", "0.5", "--theta-samples", "4", "--phi-samples", "5"],
+         {"samples"}),
+        (["map", "--n", "3", "--point", "0.5,0.25,0.25"], {"grid"}),
+        (["thermal", "--model", "linear", "--J", "1", "--beta-grid", "lin:0:1:3"], set()),
+    ], ids=["locus-n3", "locus-n4", "map-point", "thermal"])
+    def test_runs_into_two_directories_write_equal_sidecars(self, tmp_path, argv, unread):
+        outs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            outs.append(tmp_path / name / "table.json")
+            assert main(argv + ["--format", "json", "--out", str(outs[-1])]) == EXIT_OK
+        first, second = (json.loads((out.parent / "table.json.meta.json").read_text())
+                         for out in outs)
+        assert first == second
+        assert not (unread | {"out"}) & set(first["config"])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 class TestPhaseDiagramCommand:
     def test_grid_and_regions(self, tmp_path):
         out = tmp_path / "pd.csv"
@@ -373,6 +394,19 @@ class TestErrorPaths:
         out = tmp_path / "x.csv"
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, spec", [
+        (PHASE + ["--gminus", "0:inf:3"], "range '0:inf:3'"),
+        (PHASE + ["--gminus=-inf:0:3"], "range '-inf:0:3'"),
+        (LINEAR + ["--beta-grid", "lin:0:inf:3"], "grid spec 'lin:0:inf:3'"),
+        (LINEAR + ["--beta-grid", "0,log:1:1e400:3"], "grid spec 'log:1:1e400:3'"),
+    ], ids=["range-inf", "range-minus-inf", "beta-grid-lin-inf", "beta-grid-log-overflow"])
+    def test_infinite_range_endpoints_exit_two_without_a_warning(self, tmp_path, capsys,
+                                                                 argv, spec):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot parse {spec}: lo and hi must be finite\n"
         assert os.listdir(tmp_path) == []
 
     def test_phase_diagram_refuses_linear_model_while_parsing(self, tmp_path):
@@ -708,6 +742,8 @@ class TestJsonReadBack:
     """The JSON re-read keeps only the p and physical keys of each row as it
     decodes, and reads what a plain ``json.load`` of the whole file holds."""
 
+    layout = True
+
     @staticmethod
     def _plain(path):
         with open(path, encoding="utf-8") as handle:
@@ -838,6 +874,37 @@ class TestJsonReadBack:
             tracemalloc.stop()
         assert p.shape == (1771, 4)
         assert peak < os.path.getsize(path) / 2
+
+    def test_rows_in_the_writers_layout_skip_the_scanner(self, tmp_path, monkeypatch):
+        import quditgeom.cli as cli_mod
+
+        path = tmp_path / "map.json"
+        self._map(path)
+        scanned = []
+        value = cli_mod._JsonText.value
+        monkeypatch.setattr(cli_mod._JsonText, "value",
+                            lambda source, *scan: scanned.append(1) or value(source, *scan))
+        p, _, _ = cli_mod._read_columns(str(path), "json")
+        assert len(p) == 455
+        # json's scanner reads the two keys and the columns, and then the
+        # rows the layout does not: one per block read and the last one
+        if self.layout:
+            assert 3 < len(scanned) < 10
+        else:
+            assert len(scanned) == 3 + 455
+
+
+class TestJsonReadBackScanned(TestJsonReadBack):
+    """The same read-back tests with the layout fast path off, so that json's
+    scanner decodes every row."""
+
+    layout = False
+
+    @pytest.fixture(autouse=True)
+    def _scanner_only(self, monkeypatch):
+        import quditgeom.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_json_rows_pattern", lambda names: None)
 
 
 class TestAtomicOutput:

@@ -11,6 +11,7 @@ import math
 import os
 import tempfile
 from argparse import Namespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from quditgeom import (
     polar_to_p,
     trajectory,
 )
+import quditgeom.cli as cli
 from quditgeom.cli import _CHUNK_CELLS, Dataset, _validate_output, _write_csv, _write_json
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -94,13 +96,13 @@ def near_simplex_boundary(draw):
 
 
 @st.composite
-def tables(draw):
+def tables(draw, rows=st.integers(1, 40) | st.integers(_CHUNK_CELLS - 2, _CHUNK_CELLS + 2)
+           | st.integers(2 * _CHUNK_CELLS, 3 * _CHUNK_CELLS)):
     """Float columns drawn from small pools, with the writer's special values
     among them, plus int and text columns, some shorter and some longer than
     ``_CHUNK_CELLS`` rows: one column repeats throughout, one is distinct
     throughout and one repeats only on the rows a strided sample reads."""
-    rows = draw(st.integers(1, 40) | st.integers(_CHUNK_CELLS - 2, _CHUNK_CELLS + 2)
-                | st.integers(2 * _CHUNK_CELLS, 3 * _CHUNK_CELLS))
+    rows = draw(rows)
     special = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16])
     pool = np.array(draw(st.lists(special | st.floats(), min_size=1, max_size=40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -138,6 +140,85 @@ def test_writers_match_csv_writer_and_json_dumps(dataset):
     got = io.StringIO()
     _write_json(got, dataset)
     assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
+
+
+#: cell texts put in place of a drawn cell of a JSON export: integers (-0
+#: reads as 0.0 from json but -0.0 from float()), one too large for a float,
+#: null, a non-ASCII digit, an escaped string, nested values and floats in
+#: the writer's own form
+_CELL_EDITS = ["-0", "1", "9" * 400, "null", "0.\u0665", '"\\u00e9\\n"',
+               '[1, {"p1": 2}]', "true", '"1"', "1.0", "-0.0"]
+
+
+def _edit_row(lines: list, start: int, kind: str, name: str, cell: str) -> None:
+    """Apply one edit to the row of a JSON export whose ``{`` is ``lines[start]``."""
+    end = next(k for k in range(start, len(lines)) if lines[k].startswith("  }"))
+    at = next((k for k in range(start, end) if lines[k].startswith(f'   "{name}": ')), None)
+    if kind == "indent":
+        lines[start] = "  \t  {"
+    elif kind == "space":
+        lines[start - 1] = lines[start - 1].replace("}", "} ")
+    elif kind == "cr":
+        lines[start] += "\r"
+    elif at is None:
+        return
+    elif kind == "cell":
+        lines[at] = lines[at][:lines[at].index(": ") + 2] + cell + ("," if at + 1 < end else "")
+    elif kind == "swap" and at + 1 < end:
+        lines[at], lines[at + 1] = lines[at + 1].rstrip(",") + ",", lines[at].rstrip(",")
+        lines[at + 1] += "," if at + 2 < end else ""
+    elif kind == "drop" and at + 1 < end:
+        del lines[at]
+
+
+@st.composite
+def edited_json_exports(draw):
+    """The bytes of a JSON export of a drawn table with p and physical
+    columns, as the writer emits it, with one to three edits, each made to
+    every 5th row from a drawn one on: a cell replaced (``_CELL_EDITS``), a
+    key swapped with the next one or dropped, or whitespace or a CR around
+    the row.  json reads some of them and refuses others."""
+    columns = draw(tables(rows=st.integers(1, 40))).columns
+    dataset = Dataset(columns={
+        "p1": columns["repeated"], "label": columns["label"], "p2": columns["distinct"],
+        "x": columns["sampled"], "count": columns["count"], "physical": columns["count"] % 2,
+    })
+    handle = io.StringIO()
+    _write_json(handle, dataset)
+    lines = handle.getvalue().split("\n")
+    edits = st.tuples(st.sampled_from(["cell", "swap", "drop", "indent", "space", "cr"]),
+                      st.integers(0, 4), st.sampled_from(list(dataset.columns)),
+                      st.sampled_from(_CELL_EDITS))
+    # the edits within rows first, so that the whitespace ones find them in place
+    for kind, first, name, cell in sorted(draw(st.lists(edits, min_size=1, max_size=3)),
+                                          key=lambda edit: edit[0] in ("indent", "space", "cr")):
+        starts = [k for k, line in enumerate(lines) if line == "  {"]
+        for start in reversed(starts[first::5]):
+            _edit_row(lines, start, kind, name, cell)
+    return "\n".join(lines).encode("utf-8")
+
+
+def _read_back(path: str, block: int, layout: bool):
+    """What ``_read_columns`` reads of a JSON file, bit for bit, or its error."""
+    with mock.patch.object(cli, "_JSON_BLOCK", block), \
+            mock.patch.object(cli, "_json_rows_pattern",
+                              cli._json_rows_pattern if layout else lambda names: None):
+        try:
+            read = cli._read_columns(path, "json")
+        except ValueError as exc:
+            return str(exc)
+    return read and [(column.dtype, column.shape, column.tobytes()) for column in read]
+
+
+@SETTINGS
+@given(edited_json_exports())
+def test_the_layout_path_reads_json_as_the_scanner_does(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        for block in (1, 7, cli._JSON_BLOCK):
+            assert _read_back(path, block, layout=True) == _read_back(path, block, layout=False)
 
 
 @SETTINGS
