@@ -410,9 +410,10 @@ _BUILDERS = {
 # output
 
 #: cells formatted and written at a time (whole rows, at least one): only
-#: one chunk of cell strings is ever held, plus one text per distinct value
-#: of each float column longer than this whose rows are at most half
-#: distinct (see ``_column_cells``)
+#: one chunk of cell strings is ever held.  A float column longer than this
+#: whose values are at most half distinct also keeps the text of each
+#: distinct value, in one numpy array of 24-character strings, and formats
+#: them this many at a time (see ``_column_cells``)
 _CHUNK_CELLS = 2048
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -453,18 +454,22 @@ def _half_distinct(values: np.ndarray):
 def _column_cells(column: np.ndarray, *, for_json: bool):
     """A function from each slice of ``column`` to its cells, as ``_cells``.
 
-    A float column longer than ``_CHUNK_CELLS`` rows whose values repeat
-    (a strided sample of about ``_CHUNK_CELLS`` of them, and then the whole
-    column, at most half distinct) formats each distinct value once; its
-    slices look their cells up by ``np.searchsorted``.
+    A float column longer than ``_CHUNK_CELLS`` rows whose values are at
+    most half distinct (``_half_distinct`` over the whole column) formats
+    each distinct value once, ``_CHUNK_CELLS`` at a time, into one numpy
+    array of texts (no float ``repr`` is longer than 24 characters); its
+    slices look their cells up by ``np.searchsorted``.  Any other column
+    formats each slice as it comes.
     """
-    repeats = (column.dtype.kind == "f" and column.size > _CHUNK_CELLS
-               and _half_distinct(column[::column.size // _CHUNK_CELLS]) is not None)
-    distinct = _half_distinct(column) if repeats else None
+    distinct = (_half_distinct(column) if column.dtype.kind == "f"
+                and column.size > _CHUNK_CELLS else None)
     if distinct is None:
         return lambda part: _cells(part, for_json=for_json)
-    texts = _cells(distinct, for_json=for_json)
-    return lambda part: list(map(texts.__getitem__, distinct.searchsorted(part).tolist()))
+    texts = np.empty(distinct.size, dtype="U24")
+    for start in range(0, distinct.size, _CHUNK_CELLS):
+        stop = start + _CHUNK_CELLS
+        texts[start:stop] = _cells(distinct[start:stop], for_json=for_json)
+    return lambda part: texts[distinct.searchsorted(part)].tolist()
 
 
 def _text_chunks(dataset: Dataset, separators: list, *, for_json: bool):
@@ -618,37 +623,29 @@ class _JsonText:
     a time.
 
     ``text[pos:]`` is the part not consumed yet.  Each read drops the
-    consumed part and keeps count of its characters and newlines, so that
-    errors name the line, column and character of the whole file, as
-    ``json.load`` does.
+    consumed part and keeps count of its characters, so that errors name
+    the character of the whole file, as ``json.load`` does; an error decodes
+    the file again up to there for its line and column.
     """
 
     def __init__(self, handle):
         self.handle = handle
-        self.utf8 = codecs.getincrementaldecoder("utf-8")()
-        self.decoder = io.IncrementalNewlineDecoder(self.utf8, translate=True)
+        self.decoder = _newline_decoder()
         self.bytes_read = 0
         self.text, self.pos = "", 0
         self.offset = 0       # characters of the file before text[0]
-        self.lines = 0        # newlines among them
-        self.line_start = 0   # the offset where the line of text[0] starts
         self.eof = False
 
     def more(self) -> bool:
         """Drop the consumed text and read at least one block more (at
         least as much as is held); False at the end of the file."""
-        pos = self.pos
-        newline = self.text.rfind("\n", 0, pos)
-        if newline >= 0:
-            self.lines += self.text.count("\n", 0, pos)
-            self.line_start = self.offset + newline + 1
-        self.offset += pos
-        self.text, self.pos = self.text[pos:], 0
+        self.offset += self.pos
+        self.text, self.pos = self.text[self.pos:], 0
         size = max(_JSON_BLOCK, len(self.text))
         while not self.eof:
             data = self.handle.read(size)
             self.eof = not data
-            start = self.bytes_read - len(self.utf8.buffer)
+            start = self.bytes_read - len(self.decoder.getstate()[0])
             self.bytes_read += len(data)
             try:
                 added = self.decoder.decode(data, final=self.eof)
@@ -661,12 +658,27 @@ class _JsonText:
         return False
 
     def error(self, msg: str, at: int) -> json.JSONDecodeError:
-        """The error ``json.load`` raises for ``msg`` at ``text[at]``."""
+        """The error ``json.load`` raises for ``msg`` at ``text[at]``.
+
+        The bytes read so far are decoded again from the start of the file,
+        a block at a time, to count the newlines before ``text[at]``.
+        """
         exc = json.JSONDecodeError(msg, "", 0)
-        newline = self.text.rfind("\n", 0, at)
         exc.pos = self.offset + at
-        exc.lineno = self.lines + self.text.count("\n", 0, at) + 1
-        exc.colno = at - newline if newline >= 0 else exc.pos - self.line_start + 1
+        decoder, seen, left = _newline_decoder(), 0, self.bytes_read
+        lines = line_start = 0
+        self.handle.seek(0)
+        while seen < exc.pos and left > 0:
+            data = self.handle.read(min(_JSON_BLOCK, left))
+            left = left - len(data) if data else 0
+            text = decoder.decode(data, final=self.eof and not left)[:exc.pos - seen]
+            lines += text.count("\n")
+            newline = text.rfind("\n")
+            if newline >= 0:
+                line_start = seen + newline + 1
+            seen += len(text)
+        exc.lineno = lines + 1
+        exc.colno = exc.pos - line_start + 1
         exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
         return exc
 
@@ -712,6 +724,11 @@ class _JsonText:
                         and not msg.startswith("Unterminated string")):
                 raise self.error(msg, at)
             self.more()
+
+
+def _newline_decoder():
+    """A UTF-8 decoder that translates newlines as ``open`` does."""
+    return io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
 
 
 def _moved(exc: UnicodeDecodeError, start: int) -> ValueError:

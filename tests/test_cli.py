@@ -503,6 +503,44 @@ class TestWriters:
         cli_mod._write_json(got, self._dataset())
         assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
 
+    def test_column_that_repeats_off_a_strided_sample_formats_each_value_once(
+            self, monkeypatch):
+        import io
+
+        import quditgeom.cli as cli_mod
+        from quditgeom.cli import _CHUNK_CELLS, Dataset
+
+        # three chunks of rows; every third row (a strided sample) holds a
+        # new value and the two rows after it repeat that value, so the
+        # sample is all distinct and the column one third distinct
+        special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]
+        sampled = np.concatenate([special, np.arange(_CHUNK_CELLS - len(special)) / 7.0 - 9.5])
+        x = np.repeat(sampled, 3)
+        x[2] = 0.0
+        values = x.tolist()
+        formatted = []
+        cells = cli_mod._cells
+        monkeypatch.setattr(cli_mod, "_cells", lambda column, *, for_json: (
+            formatted.append(column.copy()) or cells(column, for_json=for_json)))
+
+        got = io.StringIO()
+        cli_mod._write_csv(got, Dataset(columns={"x": x}))
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([["x"]] + [[repr(v + 0.0)]
+                                                                       for v in values])
+        assert got.getvalue() == expected.getvalue()
+        got = io.StringIO()
+        cli_mod._write_json(got, Dataset(columns={"x": x}))
+        payload = {"columns": ["x"],
+                   "rows": [{"x": None if math.isnan(v) else v + 0.0} for v in values]}
+        assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
+
+        # per writer: each number once, and each NaN row (each counts as distinct)
+        formatted = np.concatenate(formatted)
+        numbers = formatted[~np.isnan(formatted)]
+        assert numbers.size == np.unique(numbers).size * 2 == (len(sampled) - 1) * 2
+        assert np.isnan(formatted).sum() == 3 * 2
+
 
 class TestValidate:
     @pytest.mark.parametrize("fmt", ["csv", "json"])

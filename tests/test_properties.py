@@ -101,7 +101,10 @@ def tables(draw, rows=st.integers(1, 40) | st.integers(_CHUNK_CELLS - 2, _CHUNK_
     """Float columns drawn from small pools, with the writer's special values
     among them, plus int and text columns, some shorter and some longer than
     ``_CHUNK_CELLS`` rows: one column repeats throughout, one is distinct
-    throughout and one repeats only on the rows a strided sample reads."""
+    throughout, one repeats only on every ``rows // _CHUNK_CELLS``-th row
+    and one only off those rows: each other row repeats the distinct value
+    of one of them, so the whole column repeats though those rows alone
+    are distinct."""
     rows = draw(rows)
     special = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16])
     pool = np.array(draw(st.lists(special | st.floats(), min_size=1, max_size=40)))
@@ -110,11 +113,16 @@ def tables(draw, rows=st.integers(1, 40) | st.integers(_CHUNK_CELLS - 2, _CHUNK_
     stride = max(1, rows // _CHUNK_CELLS)
     sampled = rng.normal(size=rows)
     sampled[::stride] = repeated[::stride]
+    off = np.ones(rows, dtype=bool)
+    off[::stride] = False
+    off_stride = rng.normal(size=rows)
+    off_stride[off] = rng.choice(off_stride[::stride], off.sum())
     labels = np.array(["a", 'q"uote', "c,omma", "", "line\nbreak"])
     return Dataset(columns={
         "repeated": repeated,
         "distinct": rng.normal(size=rows),
         "sampled": sampled,
+        "off_stride": off_stride,
         "count": rng.integers(-3, 3, rows),
         "label": labels[rng.integers(0, labels.size, rows)],
     })
@@ -128,13 +136,13 @@ def test_writers_match_csv_writer_and_json_dumps(dataset):
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(names)
-    writer.writerows([repr(x + 0.0) for x in row[:3]] + [repr(row[3]), row[4]] for row in rows)
+    writer.writerows([repr(x + 0.0) for x in row[:4]] + [repr(row[4]), row[5]] for row in rows)
     got = io.StringIO()
     _write_csv(got, dataset)
     assert got.getvalue() == expected.getvalue()
 
     payload = {"columns": names, "rows": [
-        dict(zip(names, [None if math.isnan(x) else x + 0.0 for x in row[:3]] + list(row[3:])))
+        dict(zip(names, [None if math.isnan(x) else x + 0.0 for x in row[:4]] + list(row[4:])))
         for row in rows
     ]}
     got = io.StringIO()
