@@ -24,13 +24,12 @@ once both are complete (the data file last, and the sidecar removed again
 if that move fails), so a failed run leaves neither new file behind.
 
 ``--validate`` re-reads only the p columns and ``physical`` of the data
-file: a CSV file in one ``np.loadtxt`` call, a JSON file streamed in
-fixed blocks of bytes, so that memory does not grow with the file beyond
-the kept cells.  The rows of the block held that are laid out exactly as
-the writer emits them are read by one regex scan, which captures only
-their p and ``physical`` cells; json's own scanner decodes any other row,
-and every decode error reads as ``json.load`` reports it.  A JSON file
-must hold ``columns`` before ``rows``, the order the writer emits.
+file.  A CSV file is read in one ``np.loadtxt`` call.  A JSON file laid
+out exactly as the writer emits it is read in fixed blocks of bytes, each
+scanned by one regex that captures only the p and ``physical`` cells, so
+that memory does not grow with the file beyond the kept cells.  Any other
+JSON file is read by ``json.load``, so that its values and its errors are
+``json.load``'s.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure with zero successful nodes (also used when --validate finds a
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import array
-import codecs
 import csv
 import functools
 import io
@@ -498,8 +496,12 @@ def _write_csv(handle, dataset: Dataset) -> None:
         handle.write(text)
 
 
-#: what separates two rows of a JSON export
+#: the text of a JSON export before its column names, between two of them
+#: and after them, up to its first row; what separates two rows; and the
+#: text after the last row
+_JSON_HEAD = ('{\n "columns": [\n  ', ',\n  ', '\n ],\n "rows": [')
 _JSON_ROW_JOIN = ",\n  "
+_JSON_TAIL = "\n ]\n}\n"
 
 
 def _json_row_layout(names) -> list:
@@ -513,15 +515,14 @@ def _write_json(handle, dataset: Dataset) -> None:
     """The bytes of ``json.dump({"columns": [...], "rows": [{...}, ...]},
     indent=1)`` and a final newline, written one chunk of rows at a time."""
     keys = [json.dumps(name) for name in dataset.columns]
-    handle.write('{\n "columns": [\n' + ",\n".join(f"  {key}" for key in keys)
-                 + '\n ],\n "rows": [')
+    handle.write(_JSON_HEAD[0] + _JSON_HEAD[1].join(keys) + _JSON_HEAD[2])
     # every row opens with the ",\n" that separates it from the one before;
     # the first row of the file opens with "\n" instead
     separators = _json_row_layout(dataset.columns)
     separators[0] = _JSON_ROW_JOIN + separators[0]
     for number, text in enumerate(_text_chunks(dataset, separators, for_json=True)):
         handle.write(text if number else text[1:])
-    handle.write("\n ]\n}\n")
+    handle.write(_JSON_TAIL)
 
 
 def _unread_options(args) -> set:
@@ -604,276 +605,146 @@ def _physical(cells) -> np.ndarray:
     return np.isin(np.asarray(cells, dtype=str), ("1", "1.0"))
 
 
-#: bytes the JSON re-read decodes at a time (more only while one value of
-#: the file is longer than what is held)
-_JSON_BLOCK = 1 << 15
-_JSON_WS = json.decoder.WHITESPACE.match
-_JSON_SCAN = json.JSONDecoder().scan_once
-#: JSON texts the layout fast path reads: a p cell is a float as the writer
-#: writes it (a number with a fraction or an exponent, NaN or +-Infinity);
-#: another cell any scalar json decodes alike, integers of at most 20
-#: digits (int() refuses very long ones, as json then does) and strings
-#: without escapes or control characters
-_JSON_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity"
-_JSON_SCALAR = rf'{_JSON_FLOAT}|-?(?:0|[1-9][0-9]{{0,19}})|"[^"\\\x00-\x1f]*"|true|false|null'
-
-
-class _JsonText:
-    """The text of a JSON file, as ``json.load`` decodes it, held a block at
-    a time.
-
-    ``text[pos:]`` is the part not consumed yet.  Each read drops the
-    consumed part and keeps count of its characters, so that errors name
-    the character of the whole file, as ``json.load`` does; an error decodes
-    the file again up to there for its line and column.
-    """
-
-    def __init__(self, handle):
-        self.handle = handle
-        self.decoder = _newline_decoder()
-        self.bytes_read = 0
-        self.text, self.pos = "", 0
-        self.offset = 0       # characters of the file before text[0]
-        self.eof = False
-
-    def more(self) -> bool:
-        """Drop the consumed text and read at least one block more (at
-        least as much as is held); False at the end of the file."""
-        self.offset += self.pos
-        self.text, self.pos = self.text[self.pos:], 0
-        size = max(_JSON_BLOCK, len(self.text))
-        while not self.eof:
-            data = self.handle.read(size)
-            self.eof = not data
-            start = self.bytes_read - len(self.decoder.getstate()[0])
-            self.bytes_read += len(data)
-            try:
-                added = self.decoder.decode(data, final=self.eof)
-            except UnicodeDecodeError as exc:
-                raise _moved(exc, start) from None
-            del data
-            if added:
-                self.text += added
-                return True
-        return False
-
-    def error(self, msg: str, at: int) -> json.JSONDecodeError:
-        """The error ``json.load`` raises for ``msg`` at ``text[at]``.
-
-        The bytes read so far are decoded again from the start of the file,
-        a block at a time, to count the newlines before ``text[at]``.
-        """
-        exc = json.JSONDecodeError(msg, "", 0)
-        exc.pos = self.offset + at
-        decoder, seen, left = _newline_decoder(), 0, self.bytes_read
-        lines = line_start = 0
-        self.handle.seek(0)
-        while seen < exc.pos and left > 0:
-            data = self.handle.read(min(_JSON_BLOCK, left))
-            left = left - len(data) if data else 0
-            text = decoder.decode(data, final=self.eof and not left)[:exc.pos - seen]
-            lines += text.count("\n")
-            newline = text.rfind("\n")
-            if newline >= 0:
-                line_start = seen + newline + 1
-            seen += len(text)
-        exc.lineno = lines + 1
-        exc.colno = exc.pos - line_start + 1
-        exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
-        return exc
-
-    def peek(self) -> str:
-        """The next character past whitespace, or "" at the end of the file."""
-        while True:
-            self.pos = _JSON_WS(self.text, self.pos).end()
-            if self.pos < len(self.text):
-                return self.text[self.pos]
-            if not self.more():
-                return ""
-
-    def expect(self, char: str, msg: str) -> None:
-        """Step past ``char``, the next character past whitespace, or raise ``msg``."""
-        if self.peek() != char:
-            raise self.error(msg, self.pos)
-        self.pos += 1
-
-    def value(self, scan=_JSON_SCAN):
-        """The value that ``scan(text, pos)`` decodes next, and step past it.
-
-        A value cut by the end of the text is read again with more text.
-        A number that ends there scans as a shorter one, and three more
-        characters decide that it ends ('.5', 'e7' and 'e-7' go on).  A
-        decode error stands once it lies 16 characters or more before the
-        end of the text, more than the longest token a cut can break
-        ('-Infinity'); an unterminated string only the end of the file
-        settles.
-        """
-        while True:
-            try:
-                value, end = scan(self.text, self.pos)
-            except StopIteration as exc:
-                msg, at = "Expecting value", exc.value
-            except json.JSONDecodeError as exc:
-                msg, at = exc.msg, exc.pos
-            else:
-                if end + 3 <= len(self.text) or self.eof:
-                    self.pos = end
-                    return value
-                msg = None
-            if msg and (self.eof or at + 16 <= len(self.text)
-                        and not msg.startswith("Unterminated string")):
-                raise self.error(msg, at)
-            self.more()
-
-
-def _newline_decoder():
-    """A UTF-8 decoder that translates newlines as ``open`` does."""
-    return io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-
-
-def _moved(exc: UnicodeDecodeError, start: int) -> ValueError:
-    """``exc``, raised on bytes that begin ``start`` bytes into the file,
-    as decoding the whole file reports it."""
-    first, last = exc.start + start, exc.end - 1 + start
-    where = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
-             else f"bytes in position {first}-{last}")
-    return ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+#: bytes the JSON re-read of the writer's layout reads at a time
+_JSON_BLOCK = 1 << 14
+#: JSON texts the layout path reads: a p cell is a float as the writer
+#: writes it (a number with a fraction or an exponent, NaN or +-Infinity)
+#: or null; another cell any scalar json decodes alike, numbers with at
+#: most 20 integer digits (int() refuses very long ones, as json then does)
+#: and ASCII strings without escapes or control characters; a column name
+#: any ASCII JSON string
+_JSON_FLOAT = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity"
+_JSON_SCALAR = (rb"-?(?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity"
+                rb'|"[^"\\\x00-\x1f\x80-\xff]*"|true|false|null')
+_JSON_NAME = rb'"(?:[^"\\\x00-\x1f\x80-\xff]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*"'
+#: the head of a JSON export, to the end of the line that opens its rows;
+#: the group is its column names as the items of a JSON list
+_JSON_COLUMNS = re.compile(rb"%s(%s(?:%s%s)*)%s\n" % (
+    re.escape(_JSON_HEAD[0].encode()), _JSON_NAME,
+    re.escape(_JSON_HEAD[1].encode()), _JSON_NAME, re.escape(_JSON_HEAD[2].encode())))
 
 
 @functools.lru_cache(maxsize=64)
 def _json_rows_pattern(names: tuple):
     """``(regex, p_at, physical_at)`` for the rows of a JSON export with
     columns ``names`` in the exact layout ``_write_json`` emits; None unless
-    the names are distinct and hold ``physical``.
+    the names are distinct.
 
-    ``regex`` matches one row, then ``_JSON_ROW_JOIN`` when a ``{`` follows
-    it: so it stops where json's scanner would start on the next row.  It
-    captures the p cells and the physical cell of the row, in column order;
-    ``p_at`` and ``physical_at`` index them among its groups.
+    ``regex`` matches the bytes of one row from the start of its line, up
+    to the start of the next row or to the end of the file.  It captures
+    the p cells of the row (None for a null one), its physical cell, in
+    column order, and last the end of the file; ``p_at`` and
+    ``physical_at`` (None without ``physical``) index them among its groups.
     """
-    if "physical" not in names or len(set(names)) != len(names):
+    if len(set(names)) != len(names):
         return None
-    cells = [f"({_JSON_FLOAT})" if _is_p(name) else "([01])" if name == "physical"
-             else f"(?:{_JSON_SCALAR})" for name in names]
-    layout = list(map(re.escape, _json_row_layout(names)))
-    row = "".join(itertools.chain.from_iterable(zip(layout, cells))) + layout[-1]
-    regex = re.compile(rf"{row}{re.escape(_JSON_ROW_JOIN)}(?=\{{)")
+    cells = [rb"(?:(%s)|null)" % _JSON_FLOAT if _is_p(name) else rb"([01])" if name == "physical"
+             else rb"(?:%s)" % _JSON_SCALAR for name in names]
+    layout = [re.escape(text.encode()) for text in _json_row_layout(names)]
+    row = b"".join(itertools.chain.from_iterable(zip(layout, cells))) + layout[-1]
+    # a row that another follows ends in ",\n", and the next line opens with "  "
+    join, indent = (re.escape(text.encode()) for text in (_JSON_ROW_JOIN[:2], _JSON_ROW_JOIN[2:]))
+    tail = re.escape(_JSON_TAIL.encode())
+    regex = re.compile(rb"%s%s(?:%s|(%s)\Z)" % (indent, row, join, tail))
     captured = [name for name in names if _is_p(name) or name == "physical"]
     p_at = [i for i, name in enumerate(captured) if name != "physical"]
-    return regex, p_at, captured.index("physical")
+    return regex, p_at, captured.index("physical") if "physical" in captured else None
 
 
-def _read_json_layout(source: _JsonText, pattern: tuple, p, physical) -> None:
-    """Step past the rows from ``source.pos`` on that the ``pattern`` of
-    ``_json_rows_pattern`` matches, adding their p cells to ``p`` and their
-    physical cells, as text, to ``physical``.
+def _read_json_layout(handle):
+    """What ``_read_json`` reads of a JSON export open in binary ``handle``
+    when the file is laid out exactly as ``_write_json`` emits it; else None.
 
-    The regex's ``scanner`` (the matcher ``re.Scanner`` is built on)
-    matches each row where the one before it ends, and the matches are
-    collected and taken apart without a Python loop.
+    The head is read a line at a time and matched whole.  The rows are
+    read ``_JSON_BLOCK`` bytes at a time, and each block, after the cut row
+    the one before left, is scanned by the ``_json_rows_pattern`` regex;
+    the matches are taken apart without a Python loop per row.  Only the p
+    cells and the physical flags are kept.
     """
+    last = _JSON_HEAD[2].rpartition("\n")[2].encode() + b"\n"
+    lines = []
+    for line in handle:
+        lines.append(line)
+        if line == last:
+            break
+    head = _JSON_COLUMNS.fullmatch(b"".join(lines))
+    if head is None:
+        return None
+    names = json.loads(b"[%s]" % head[1])
+    pattern = _json_rows_pattern(tuple(names))
+    if pattern is None:
+        return None
     regex, p_at, physical_at = pattern
-    rows = list(iter(regex.scanner(source.text, source.pos).match, None))
-    if not rows:
-        return
-    source.pos = rows[-1].end()
-    cells = list(zip(*map(re.Match.groups, rows)))
-    texts = list(itertools.chain.from_iterable(zip(*map(cells.__getitem__, p_at))))
-    values = {text: float(text) for text in set(texts)}    # p cells repeat often
-    p.extend(map(values.__getitem__, texts))
-    physical.extend(cells[physical_at])
+    p, unreadable, physical = array.array("d"), array.array("q"), bytearray()
+    count, held, ended = 0, b"", False
+    while data := handle.read(_JSON_BLOCK):
+        if ended:
+            return None
+        # each block, and all made of it, is dropped before the next read:
+        # the matches hold the whole block
+        held += data
+        del data
+        rows = list(iter(regex.scanner(held).match, None))
+        if not rows:
+            # a row of the layout holds "\n  }" only at its end: once that
+            # and the longest ending after it are held, a row that does not
+            # match never will, and the rest of the file need not be read
+            end = held.find(b"\n  }")
+            if 0 <= end <= len(held) - 4 - len(_JSON_TAIL):
+                return None
+            continue
+        held, ended = held[rows[-1].end():], rows[-1].group(regex.groups) is not None
+        cells = list(zip(*map(re.Match.groups, rows)))
+        del rows
+        # the p cells of the block, row by row; they repeat often
+        texts = list(itertools.chain.from_iterable(zip(*map(cells.__getitem__, p_at))))
+        values = {text: math.nan if text is None else float(text) for text in set(texts)}
+        if None in values:
+            unreadable.extend(count + k // len(p_at) for k, text in enumerate(texts)
+                              if text is None)
+        p.extend(map(values.__getitem__, texts))
+        if physical_at is not None:
+            physical += b"".join(cells[physical_at])
+        count += len(cells[-1])
+        del cells, texts, values
+    if not ended:
+        return None
+    mask = np.zeros(count, dtype=bool)
+    mask[np.asarray(unreadable, dtype=np.intp)] = True
+    return (names, np.asarray(p).reshape(count, len(p_at)), mask,
+            np.frombuffer(physical, dtype=np.uint8) == ord("1"))
 
 
-def _read_json_rows(source: _JsonText, p_keys, pattern):
-    """The elements of the array that opens at ``source.pos``, decoded one
-    at a time, as ``(p, unreadable, physical)``: the ``p_keys`` cells of
-    each row in an ``array('d')`` (NaN where a cell does not read as a
-    number), the indexes of the rows with such a cell and the ``physical``
-    cells.  None when an element is not an object, or when ``p_keys`` is
-    None: the elements are then only scanned.
+def _read_json(path: str):
+    """``(names, p, unreadable, physical)`` of a JSON export: its
+    ``columns``, one row of its distinct p columns per row (NaN where a
+    cell does not read as a number), a mask of the rows with such a cell
+    and a mask of the rows whose physical cell reads 1.
 
-    Runs of rows in the writer's own layout are read by the ``pattern`` of
-    ``_json_rows_pattern``, when not None, in one regex scan; json's scanner
-    decodes each other row, and the pattern is tried again after it.
+    A file in the writer's own layout is read by ``_read_json_layout``;
+    any other by ``json.load``, so that its values and its errors are
+    ``json.load``'s.  Raises ValueError when the file does not decode, or
+    is not an object holding a ``columns`` list of names and a ``rows``
+    list of objects.
     """
-    p, unreadable, physical = array.array("d"), array.array("q"), []
-    kept = p_keys is not None
-    source.pos += 1
-    closed = source.peek() == "]"
-    while not closed:
-        if pattern is not None and kept:
-            _read_json_layout(source, pattern, p, physical)
-        row = source.value()
-        if kept:
-            mark = len(p)
-            try:
-                p.extend(map(row.get, p_keys))
-                physical.append(row.get("physical"))
-            except AttributeError:     # not an object
-                kept = False
-            except (TypeError, OverflowError):    # a cell that is no real number
-                del p[mark:]
-                values, bad = _floats(list(map(row.get, p_keys)))
-                p.extend(values.tolist())
-                if bad.any():
-                    unreadable.append(len(physical))
-                physical.append(row.get("physical"))
-        closed = source.peek() == "]"
-        if not closed:
-            source.expect(",", "Expecting ',' delimiter")
-            source.peek()
-    source.pos += 1
-    return (p, unreadable, physical) if kept else None
-
-
-def _read_json(handle):
-    """``(names, p_keys, rows)`` of a JSON export open in ``handle``: its
-    ``columns``, the distinct p names among them and what
-    ``_read_json_rows`` keeps of its ``rows``.
-
-    The file is read ``_JSON_BLOCK`` bytes at a time.  The top-level object
-    and each value in it but ``rows`` are decoded whole, and the elements of
-    ``rows`` one at a time.  ``columns`` must come before ``rows``, the
-    order the writer emits.  Raises ValueError as ``_read_columns`` does.
-    """
-    source = _JsonText(handle)
-    source.more()
-    if source.text.startswith("\ufeff"):
-        raise source.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-    shaped = source.peek() == "{"
-    names = p_keys = read = None
-    if not shaped:
-        source.value()    # no export: decoded whole for its decode errors
-    else:
-        # the members, with the messages of json's own object parser
-        source.pos += 1
-        closed = source.peek() == "}"
-        while not closed:
-            source.expect('"', "Expecting property name enclosed in double quotes")
-            key = source.value(json.decoder.scanstring)
-            source.expect(":", "Expecting ':' delimiter")
-            if key == "rows" and source.peek() == "[":
-                names_ok = isinstance(names, list) and all(isinstance(name, str) for name in names)
-                p_keys = list(dict.fromkeys(filter(_is_p, names))) if names_ok else None
-                pattern = _json_rows_pattern(tuple(names)) if names_ok else None
-                read = _read_json_rows(source, p_keys, pattern)
-            else:
-                source.peek()
-                value = source.value()
-                names = value if key == "columns" else names
-                if key in ("columns", "rows"):
-                    read = None    # rows that are no list, or columns after rows
-            closed = source.peek() == "}"
-            if not closed:
-                source.expect(",", "Expecting ',' delimiter")
-                source.peek()
-        source.pos += 1
-    if source.peek():
-        raise source.error("Extra data", source.pos)
-    if not shaped or read is None:
+    with open(path, "rb") as handle:
+        read = _read_json_layout(handle)
+    if read is not None:
+        return read
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if not isinstance(payload, dict):
+        payload = {}
+    names, rows = payload.get("columns"), payload.get("rows")
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
+            and isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
         raise ValueError("not an object with a 'columns' list of names "
                          "and a 'rows' list of objects")
-    return names, p_keys, read
+    p_keys = list(dict.fromkeys(filter(_is_p, names)))
+    values, bad = _floats([row.get(key) for row in rows for key in p_keys])
+    shape = (len(rows), len(p_keys))
+    return (names, values.reshape(shape), bad.reshape(shape).any(axis=1),
+            _physical([str(row.get("physical")) for row in rows]))
 
 
 def _read_columns(path: str, fmt: str):
@@ -884,19 +755,13 @@ def _read_columns(path: str, fmt: str):
     cell and a mask of the rows whose physical cell reads 1.  Only these
     columns are kept.  A CSV file is read by one ``np.loadtxt``, and again
     by ``csv.reader`` cell by cell when that meets a cell it cannot parse;
-    a JSON file is streamed by ``_read_json``.  Raises ValueError or
-    ``csv.Error`` when the file itself does not parse, or when a JSON file
-    is not an object holding a ``columns`` list of names and then a
-    ``rows`` list of objects.
+    a JSON file by ``_read_json``.  Raises ValueError or ``csv.Error`` when
+    the file itself does not parse, or when a JSON file is not an object
+    holding a ``columns`` list of names and a ``rows`` list of objects.
     """
     if fmt == "json":
-        with open(path, "rb") as handle:
-            names, p_keys, (p, unreadable, physical) = _read_json(handle)
-        if not p_keys or "physical" not in names:
-            return None
-        mask = np.zeros(len(physical), dtype=bool)
-        mask[np.asarray(unreadable, dtype=np.intp)] = True
-        return np.asarray(p).reshape(-1, len(p_keys)), mask, _physical(physical)
+        names, *read = _read_json(path)
+        return tuple(read) if any(map(_is_p, names)) and "physical" in names else None
     with open(path, newline="", encoding="utf-8") as handle:
         names = next(csv.reader(handle), [])
         wanted = [i for i, name in enumerate(names) if _is_p(name)]
@@ -935,7 +800,9 @@ def _floats(values: list) -> tuple:
     """Values as floats, and a mask of those that do not read as a number."""
     try:
         if None not in values:
-            return np.array(values, dtype=float), np.zeros(len(values), dtype=bool)
+            out = np.array(values, dtype=float)
+            if out.ndim == 1:    # a cell that is a list adds a dimension
+                return out, np.zeros(len(values), dtype=bool)
     except (TypeError, ValueError, OverflowError):
         pass
     out = np.full(len(values), math.nan)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from argparse import Namespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -662,6 +663,29 @@ class TestValidate:
             "of names and a 'rows' list of objects\n")
         assert sorted(os.listdir(tmp_path)) == ["grid.json", "grid.json.meta.json"]
 
+    def test_json_p_cell_that_is_a_list_is_unreadable(self, tmp_path, monkeypatch, capsys):
+        import quditgeom.cli as cli_mod
+
+        text = ('{"columns": ["p1", "p2", "physical"], '
+                '"rows": [{"p1": [0.5], "p2": [0.5], "physical": 1}]}')
+        path = tmp_path / "v.json"
+        path.write_text(text)
+        assert cli_mod._validate_output(str(path), "json", Namespace(command="map")) == [
+            "row 2: physical row has unreadable p"]
+
+        write_outputs = cli_mod._write_outputs
+
+        def write_then_replace(path, args, dataset):
+            write_outputs(path, args, dataset)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+
+        monkeypatch.setattr(cli_mod, "_write_outputs", write_then_replace)
+        code = main(["map", "--n", "2", "--grid", "2", "--format", "json", "--validate",
+                     "--out", str(tmp_path / "grid.json")])
+        assert code == cli_mod.EXIT_NUMERICAL
+        assert capsys.readouterr().err == "validate: row 2: physical row has unreadable p\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_validate_and_point_apply_one_simplex_rule(self, tmp_path, capsys, fmt):
         from quditgeom.cli import _validate_output
@@ -776,11 +800,23 @@ class TestCsvReadBack:
         assert problems is None or fast == problems
 
 
-class TestJsonReadBack:
-    """The JSON re-read keeps only the p and physical keys of each row as it
-    decodes, and reads what a plain ``json.load`` of the whole file holds."""
+def _read_bits(path, *, layout=True):
+    """What ``_read_columns`` reads of a JSON file, bit for bit, or its error;
+    with ``layout`` False, as the ``json.load`` path alone reads it."""
+    import quditgeom.cli as cli_mod
 
-    layout = True
+    with mock.patch.object(cli_mod, "_read_json_layout",
+                           cli_mod._read_json_layout if layout else lambda handle: None):
+        try:
+            read = cli_mod._read_columns(str(path), "json")
+        except ValueError as exc:
+            return str(exc)
+    return read and [(column.dtype, column.shape, column.tobytes()) for column in read]
+
+
+class TestJsonReadBack:
+    """The JSON re-read keeps only the p and physical cells of each row, and
+    reads what a plain ``json.load`` of the whole file holds."""
 
     @staticmethod
     def _plain(path):
@@ -805,6 +841,7 @@ class TestJsonReadBack:
                 {"label": "x", "p1": 0.5, "physical": 1.0},   # p2 missing
                 {"p1": "x", "p2": 0.5, "physical": 0, "extra": [1, 2]},
                 {"p1": 0.5, "p2": 0.5, "physical": "1"},
+                {"p1": 0.5, "p2": 0.5, "physical": [1]},
             ],
         }))
 
@@ -812,7 +849,18 @@ class TestJsonReadBack:
         assert main(["map", "--n", "4", "--grid", "12", "--format", "json",
                      "--out", str(path)]) == EXIT_OK
 
-    @pytest.mark.parametrize("make", ["_hand_made", "_map"])
+    ROW = '{"p1": 0.5, "p2": 0.25, "physical": 1}, {"p1": 0.5, "p2": 0.5, "physical": 1}'
+
+    def _rows_first(self, path):
+        path.write_text(f'{{"rows": [{self.ROW}], "columns": ["p1", "p2", "physical"]}}')
+
+    def _columns_again_after_rows(self, path):
+        # json.load keeps the last of two equal keys
+        path.write_text(f'{{"columns": ["p1", "physical"], "rows": [{self.ROW}], '
+                        '"columns": ["p1", "p2", "physical"]}')
+
+    @pytest.mark.parametrize("make", ["_hand_made", "_map", "_rows_first",
+                                      "_columns_again_after_rows"])
     def test_reads_what_json_load_holds(self, tmp_path, make):
         import quditgeom.cli as cli_mod
 
@@ -833,19 +881,6 @@ class TestJsonReadBack:
         monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
         self.test_reads_what_json_load_holds(tmp_path, make)
 
-    @pytest.mark.parametrize("text", [
-        '{"rows": [ROW], "columns": ["p1", "p2", "physical"]}',
-        '{"columns": ["p1", "physical"], "rows": [ROW], "columns": ["p1", "p2", "physical"]}',
-    ], ids=["rows-first", "columns-again-after-rows"])
-    def test_rows_before_columns_is_one_problem(self, tmp_path, text):
-        from quditgeom.cli import _validate_output
-
-        path = tmp_path / "table.json"
-        path.write_text(text.replace("ROW", '{"p1": 0.5, "p2": 0.5, "physical": 1}'))
-        assert _validate_output(str(path), "json", Namespace(command="map")) == [
-            "cannot parse the JSON file: not an object with a 'columns' list of names "
-            "and a 'rows' list of objects"]
-
     def test_integer_too_large_for_a_float_is_unreadable(self, tmp_path):
         from quditgeom.cli import _validate_output
 
@@ -856,27 +891,38 @@ class TestJsonReadBack:
         assert _validate_output(str(path), "json", Namespace(command="map")) == [
             "row 3: physical row has unreadable p"]
 
-    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("block", [1, 7, None])
     def test_decode_errors_read_as_json_load_reports_them(self, tmp_path, monkeypatch, block):
         import quditgeom.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
-        # a number that ends a member value may be cut by a block's end, and
-        # so may a literal or an escape
+        if block is not None:
+            monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
+        # a file of another layout, where a number that ends a member value
+        # may be cut by a block's end, and so may a literal or an escape
         text = json.dumps({
             "scale": -1.5e-3, "flags": [True, None, -math.inf, "\U0001f600"],
             "columns": ["label", "p1", "physical"],
             "rows": [{"label": "é€", "p1": 1e-7, "physical": 1}, {"p1": -0.5, "physical": 0}],
         }, indent=1, ensure_ascii=False)
         text = text.replace("\U0001f600", "\\ud83d\\ude00").replace("\n", "\r\n", 4)
-        raw = text.encode("utf-8")
-        variants = [raw[:cut] for cut in range(len(raw) + 1)]
-        variants += [raw[:at] + char + raw[at + 1:]
-                     for at in range(len(raw))
-                     for char in (b"x", b",", b"]", b"}", b"\\", b"\xff")]
-        variants += [b"\xef\xbb\xbf" + raw, raw + b" x", raw[:-1] + b"\xe2\x82"]
-        shape = "not an object with a 'columns' list of names and a 'rows' list of objects"
+        # and files in the writer's own layout, with and without string cells
         path = tmp_path / "table.json"
+        raws = [text.encode("utf-8")]
+        for argv in (["map", "--n", "2", "--grid", "1"],
+                     ["flower", "--model", "linear", "--J", "1/2", "--beta-grid", "0"]):
+            assert main([*argv, "--format", "json", "--out", str(path)]) == EXIT_OK
+            raws.append(path.read_bytes())
+        variants = []
+        for raw in raws:
+            variants += [raw[:cut] for cut in range(len(raw) + 1)]
+            variants += [raw[:at] + char + raw[at + 1:]
+                         for at in range(len(raw))
+                         for char in (b"x", b",", b"]", b"}", b"\\", b"\xff",
+                                      b"0", b"1", b" ", b"\r")]
+            # a BOM, data after the end, a cut character, the last row again
+            variants += [b"\xef\xbb\xbf" + raw, raw + b" x", raw[:-1] + b"\xe2\x82",
+                         raw + raw[raw.rindex(b"  {"):]]
+        shape = "not an object with a 'columns' list of names and a 'rows' list of objects"
         failed = 0
         for data in variants:
             path.write_bytes(data)
@@ -888,13 +934,13 @@ class TestJsonReadBack:
                 failed += 1
             else:
                 expected = None
-            try:
-                cli_mod._read_columns(str(path), "json")
-            except ValueError as exc:
-                assert str(exc) in (expected, shape), data
+            read = _read_bits(path)
+            assert read == _read_bits(path, layout=False), data
+            if isinstance(read, str):
+                assert read in (expected, shape), data
             else:
                 assert expected is None, data
-        assert failed > len(raw)
+        assert failed > len(variants) / 2
 
     def test_peak_memory_stays_below_half_the_file(self, tmp_path):
         import tracemalloc
@@ -913,36 +959,40 @@ class TestJsonReadBack:
         assert p.shape == (1771, 4)
         assert peak < os.path.getsize(path) / 2
 
-    def test_rows_in_the_writers_layout_skip_the_scanner(self, tmp_path, monkeypatch):
+    def test_files_the_cli_writes_take_the_layout_path(self, tmp_path, monkeypatch):
+        import pathlib
+
         import quditgeom.cli as cli_mod
 
-        path = tmp_path / "map.json"
-        self._map(path)
-        scanned = []
-        value = cli_mod._JsonText.value
-        monkeypatch.setattr(cli_mod._JsonText, "value",
-                            lambda source, *scan: scanned.append(1) or value(source, *scan))
-        p, _, _ = cli_mod._read_columns(str(path), "json")
-        assert len(p) == 455
-        # json's scanner reads the two keys and the columns, and then the
-        # rows the layout does not: one per block read and the last one
-        if self.layout:
-            assert 3 < len(scanned) < 10
-        else:
-            assert len(scanned) == 3 + 455
+        masked = tmp_path / "masked.json"
+        assert main(["locus", "--n", "4", "--t4", "0.3", "--theta-samples", "16",
+                     "--phi-samples", "32", "--format", "json", "--out", str(masked)]) == EXIT_OK
+        assert '"p1": null' in masked.read_text()
+        golden = pathlib.Path(__file__).parent / "data" / "golden"
+        paths = [path for path in sorted(golden.glob("*.json"))
+                 if not path.name.endswith(".meta.json")]
+        assert len(paths) == 21
+        loads, load = [], json.load
+        monkeypatch.setattr(json, "load", lambda *a, **k: loads.append(a) or load(*a, **k))
+        reads = [_read_bits(path) for path in [*paths, masked]]
+        assert loads == []
+        assert reads == [_read_bits(path, layout=False) for path in [*paths, masked]]
+        assert len(loads) == len(reads)
 
 
 class TestJsonReadBackScanned(TestJsonReadBack):
-    """The same read-back tests with the layout fast path off, so that json's
-    scanner decodes every row."""
+    """The same read-back tests with the layout path off, so that
+    ``json.load`` reads every file."""
 
-    layout = False
+    # json.load holds the whole file, and is what the layout path spares
+    test_peak_memory_stays_below_half_the_file = None
+    test_files_the_cli_writes_take_the_layout_path = None
 
     @pytest.fixture(autouse=True)
-    def _scanner_only(self, monkeypatch):
+    def _json_load_only(self, monkeypatch):
         import quditgeom.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "_json_rows_pattern", lambda names: None)
+        monkeypatch.setattr(cli_mod, "_read_json_layout", lambda handle: None)
 
 
 class TestAtomicOutput:

@@ -207,10 +207,11 @@ def edited_json_exports(draw):
 
 
 def _read_back(path: str, block: int, layout: bool):
-    """What ``_read_columns`` reads of a JSON file, bit for bit, or its error."""
+    """What ``_read_columns`` reads of a JSON file, bit for bit, or its error;
+    with ``layout`` False, as the ``json.load`` path alone reads it."""
     with mock.patch.object(cli, "_JSON_BLOCK", block), \
-            mock.patch.object(cli, "_json_rows_pattern",
-                              cli._json_rows_pattern if layout else lambda names: None):
+            mock.patch.object(cli, "_read_json_layout",
+                              cli._read_json_layout if layout else lambda handle: None):
         try:
             read = cli._read_columns(path, "json")
         except ValueError as exc:
@@ -220,13 +221,14 @@ def _read_back(path: str, block: int, layout: bool):
 
 @SETTINGS
 @given(edited_json_exports())
-def test_the_layout_path_reads_json_as_the_scanner_does(data):
+def test_the_layout_path_reads_json_as_json_load_does(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.json")
         with open(path, "wb") as handle:
             handle.write(data)
+        loaded = _read_back(path, cli._JSON_BLOCK, layout=False)
         for block in (1, 7, cli._JSON_BLOCK):
-            assert _read_back(path, block, layout=True) == _read_back(path, block, layout=False)
+            assert _read_back(path, block, layout=True) == loaded
 
 
 @SETTINGS
