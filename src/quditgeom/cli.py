@@ -24,11 +24,12 @@ once both are complete (the data file last, and the sidecar removed again
 if that move fails), so a failed run leaves neither new file behind.
 
 ``--validate`` re-reads only the p columns and ``physical`` of the data
-file.  A CSV file is read in one ``np.loadtxt`` call.  A JSON file laid
-out exactly as the writer emits it is read in fixed blocks of bytes, each
-scanned by one regex that captures only the p and ``physical`` cells, so
-that memory does not grow with the file beyond the kept cells.  Any other
-JSON file is read by ``json.load``, so that its values and its errors are
+file, after the dataset is released, so the data is not held twice.  A
+CSV file is read in one ``np.loadtxt`` call.  A JSON file laid out exactly
+as the writer emits it is read in fixed blocks of bytes, each scanned by
+one regex that captures only the p and ``physical`` cells, so that memory
+does not grow with the file beyond the kept cells.  Any other JSON file is
+read by ``json.load``, so that its values and its errors are
 ``json.load``'s.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
@@ -152,6 +153,14 @@ def _parse_range(text: str) -> np.ndarray:
         raise ConfigError(f"cannot parse range {text!r}: not a number or lo:hi:count") from exc
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty float array, ascending, as
+    ``np.unique`` finds them, save that each NaN counts as distinct, and
+    without the import of ``numpy.ma`` that ``np.unique`` makes."""
+    ordered = np.sort(values)
+    return ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+
+
 def _parse_beta_grid(text: str) -> np.ndarray:
     """Comma-separated mix of numbers, 'log:lo:hi:count' and 'lin:lo:hi:count'."""
     values = []
@@ -171,7 +180,7 @@ def _parse_beta_grid(text: str) -> np.ndarray:
                 values.append(np.array([float(item)]))
             except ValueError as exc:
                 raise ConfigError(f"cannot parse beta value {item!r}") from exc
-    grid = np.unique(np.concatenate(values))
+    grid = _distinct(np.concatenate(values))
     if grid[0] < 0 or not np.all(np.isfinite(grid)):
         raise ConfigError("beta values must be finite and >= 0")
     return grid
@@ -441,27 +450,19 @@ def _cells(column: np.ndarray, *, for_json: bool) -> list:
     return [quoted[text] for text in texts]
 
 
-def _half_distinct(values: np.ndarray):
-    """The distinct values of a float array, ascending, when there are at
-    most half as many as entries; else None.  Each NaN counts as distinct."""
-    ordered = np.sort(values)
-    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    return distinct if 2 * distinct.size <= values.size else None
-
-
 def _column_cells(column: np.ndarray, *, for_json: bool):
     """A function from each slice of ``column`` to its cells, as ``_cells``.
 
     A float column longer than ``_CHUNK_CELLS`` rows whose values are at
-    most half distinct (``_half_distinct`` over the whole column) formats
+    most half distinct (``_distinct`` over the whole column) formats
     each distinct value once, ``_CHUNK_CELLS`` at a time, into one numpy
     array of texts (no float ``repr`` is longer than 24 characters); its
     slices look their cells up by ``np.searchsorted``.  Any other column
     formats each slice as it comes.
     """
-    distinct = (_half_distinct(column) if column.dtype.kind == "f"
+    distinct = (_distinct(column) if column.dtype.kind == "f"
                 and column.size > _CHUNK_CELLS else None)
-    if distinct is None:
+    if distinct is None or 2 * distinct.size > column.size:
         return lambda part: _cells(part, for_json=for_json)
     texts = np.empty(distinct.size, dtype="U24")
     for start in range(0, distinct.size, _CHUNK_CELLS):
@@ -741,7 +742,9 @@ def _read_json(path: str):
         raise ValueError("not an object with a 'columns' list of names "
                          "and a 'rows' list of objects")
     p_keys = list(dict.fromkeys(filter(_is_p, names)))
-    values, bad = _floats([row.get(key) for row in rows for key in p_keys])
+    # a JSON string is no number, though float() reads "0.5" and "1_0"
+    cells = (row.get(key) for row in rows for key in p_keys)
+    values, bad = _floats([None if isinstance(cell, str) else cell for cell in cells])
     shape = (len(rows), len(p_keys))
     return (names, values.reshape(shape), bad.reshape(shape).any(axis=1),
             _physical([str(row.get("physical")) for row in rows]))
@@ -939,32 +942,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _export(args) -> tuple:
+    """Build the dataset of ``args`` and write it unless every node failed;
+    return only ``(failed_nodes, rows)``, so that the dataset is released
+    before ``--validate`` re-reads the file."""
+    dataset = _BUILDERS[args.command](args)
+    failed, rows = dataset.failed_nodes, len(dataset)
+    if not failed or failed < rows:
+        _write_outputs(args.out, args, dataset)
+    return failed, rows
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # ConfigError and the library's DimensionError and PositivityError are
-    # all ValueErrors: each is a configuration error
+    # all ValueErrors: each is a configuration error, as is an --out path
+    # that open() refuses outright (one holding a NUL)
     try:
         if hasattr(args, "spin_text"):
             args.spin = _parse_spin(args.spin_text)
-        dataset = _BUILDERS[args.command](args)
+        failed, rows = _export(args)
+        if failed and failed == rows:
+            print("numerical-failure: no node produced a finite result", file=sys.stderr)
+            return EXIT_NUMERICAL
+        if failed:
+            print(f"note: {failed} of {rows} nodes had no admissible solution and were masked",
+                  file=sys.stderr)
+        problems = _validate_output(args.out, args.format, args) if args.validate else []
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if dataset.failed_nodes and dataset.failed_nodes == len(dataset):
-        print("numerical-failure: no node produced a finite result", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    try:
-        _write_outputs(args.out, args, dataset)
-        if dataset.failed_nodes:
-            print(
-                f"note: {dataset.failed_nodes} of {len(dataset)} nodes had no "
-                "admissible solution and were masked",
-                file=sys.stderr,
-            )
-        problems = _validate_output(args.out, args.format, args) if args.validate else []
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -18,6 +18,7 @@ from quditgeom.cli import (
     _parse_beta_grid,
     _parse_range,
     _parse_spin,
+    build_parser,
     main,
 )
 
@@ -60,6 +61,38 @@ class TestParsers:
             _parse_beta_grid("-1,1")
         with pytest.raises(ConfigError):
             _parse_beta_grid("log:0:1:5")
+
+    DEFAULT_BETA_GRID = build_parser().parse_args(
+        ["thermal", "--model", "linear", "--J", "1", "--out", "x"]).beta_grid
+
+    @pytest.mark.parametrize("text", [
+        DEFAULT_BETA_GRID,
+        "log:1e-2:1e2:9,lin:0:100:11,0.1,lin:1:10:10,log:1:10:4",
+        "2,1,2,0.5,1,2,0.5",
+        "0,-0", "-0,0", "0.5,-0,0,1,-0",
+    ], ids=["default", "overlapping-specs", "repeated-literals", "zero-minus-zero",
+            "minus-zero-zero", "zeros-among-values"])
+    def test_beta_grid_is_what_np_unique_makes_of_the_values(self, text):
+        import quditgeom.cli as cli_mod
+
+        grid = _parse_beta_grid(text)
+        with mock.patch.object(cli_mod, "_distinct", np.unique):
+            expected = _parse_beta_grid(text)
+        # values, signs of zero, length and order
+        assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", ["-1,1", "0,-1e-300", "nan", "1,nan,nan", "lin:nan:1:3",
+                                      "-inf,2", "inf"])
+    def test_beta_grid_refuses_negative_and_nan_values_as_np_unique_did(self, text):
+        import quditgeom.cli as cli_mod
+        from quditgeom.cli import ConfigError
+
+        message = r"^beta values must be finite and >= 0$"
+        with pytest.raises(ConfigError, match=message):
+            _parse_beta_grid(text)
+        with mock.patch.object(cli_mod, "_distinct", np.unique), \
+                pytest.raises(ConfigError, match=message):
+            _parse_beta_grid(text)
 
 
 class TestThermalCommand:
@@ -111,6 +144,16 @@ class TestThermalCommand:
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command, fmt", [("thermal", "csv"), ("flower", "json")])
+    def test_negative_zero_beta_writes_what_zero_does(self, tmp_path, command, fmt):
+        outs = []
+        for grid in ("0", "-0", "0,-0", "-0,0"):
+            outs.append(tmp_path / f"{len(outs)}.{fmt}")
+            assert main([command, "--model", "lmg", "--J", "1", "--gx", "0.5",
+                         f"--beta-grid={grid}", "--format", fmt, "--validate",
+                         "--out", str(outs[-1])]) == EXIT_OK
+        assert len({out.read_bytes() for out in outs}) == 1
 
 
 class TestSidecar:
@@ -454,6 +497,12 @@ class TestErrorPaths:
         assert capsys.readouterr().err == "io-error: [Errno 5] Input/output error\n"
         assert sorted(os.listdir(tmp_path)) == ["grid.csv", "grid.csv.meta.json"]
 
+    def test_out_path_holding_a_nul_exits_two(self, tmp_path, capsys):
+        code = main(["frame", "--n", "3", "--out", str(tmp_path / "x\0.csv")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: embedded null byte\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestWriters:
     FLOATS = [-0.0, math.nan, 5e-324, 1e-5, 1e16, 0.1, -2.5, 1 / 3, math.nan, 1e-5]
@@ -544,6 +593,31 @@ class TestWriters:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_validate_runs_after_the_dataset_is_released(self, tmp_path, monkeypatch, fmt):
+        import weakref
+
+        import quditgeom.cli as cli_mod
+
+        refs, checked = [], []
+        build, validate = cli_mod._BUILDERS["map"], cli_mod._validate_output
+
+        def build_and_keep_a_ref(args):
+            dataset = build(args)
+            refs.append(weakref.ref(dataset))
+            return dataset
+
+        def validate_once_released(*args):
+            assert refs[-1]() is None, "the dataset is still held"
+            checked.append(args)
+            return validate(*args)
+
+        monkeypatch.setitem(cli_mod._BUILDERS, "map", build_and_keep_a_ref)
+        monkeypatch.setattr(cli_mod, "_validate_output", validate_once_released)
+        assert main(["map", "--n", "4", "--grid", "12", "--validate", "--format", fmt,
+                     "--out", str(tmp_path / f"grid.{fmt}")]) == EXIT_OK
+        assert len(refs) == len(checked) == 1
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_reports_each_bad_physical_row(self, tmp_path, fmt):
         from argparse import Namespace
@@ -842,6 +916,9 @@ class TestJsonReadBack:
                 {"p1": "x", "p2": 0.5, "physical": 0, "extra": [1, 2]},
                 {"p1": 0.5, "p2": 0.5, "physical": "1"},
                 {"p1": 0.5, "p2": 0.5, "physical": [1]},
+                {"p1": "0.5", "p2": 0.5, "physical": 1},   # a string is no number
+                {"p1": 0.5, "p2": "1_0", "physical": 1},
+                {"p1": True, "p2": False, "physical": 1},
             ],
         }))
 
@@ -881,15 +958,20 @@ class TestJsonReadBack:
         monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
         self.test_reads_what_json_load_holds(tmp_path, make)
 
-    def test_integer_too_large_for_a_float_is_unreadable(self, tmp_path):
+    def test_integer_too_large_for_a_float_is_unreadable(self, tmp_path, cell="9" * 400):
         from quditgeom.cli import _validate_output
 
         path = tmp_path / "table.json"
         path.write_text('{"columns": ["p1", "p2", "physical"], "rows": ['
                         '{"p1": 0.5, "p2": 0.5, "physical": 1}, '
-                        f'{{"p1": {"9" * 400}, "p2": 0.5, "physical": 1}}]}}')
+                        f'{{"p1": {cell}, "p2": 0.5, "physical": 1}}]}}')
         assert _validate_output(str(path), "json", Namespace(command="map")) == [
             "row 3: physical row has unreadable p"]
+
+    @pytest.mark.parametrize("cell", ['"0.5"', '"1_0"'])
+    def test_string_cell_is_unreadable(self, tmp_path, cell):
+        # float() reads both strings, as 0.5 and as 10.0
+        self.test_integer_too_large_for_a_float_is_unreadable(tmp_path, cell)
 
     @pytest.mark.parametrize("block", [1, 7, None])
     def test_decode_errors_read_as_json_load_reports_them(self, tmp_path, monkeypatch, block):
@@ -1073,8 +1155,26 @@ def test_golden_first_row_locus_t2(tmp_path):
     assert ",".join(rows[0]) == GOLDEN_T2_FIRST_ROW
 
 
-def test_import_does_not_load_scipy():
+def _fresh_interpreter_exit_code(code, *args):
     src = os.path.dirname(os.path.dirname(quditgeom.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=60).returncode
+
+
+def test_import_does_not_load_scipy():
     code = "import sys, quditgeom, quditgeom.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert _fresh_interpreter_exit_code(code) == 0
+
+
+def test_thermal_and_flower_exports_do_not_load_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.5 MB of memory, and np.unique imports it
+    code = """if True:
+        import os, sys
+        from quditgeom.cli import main
+        runs = [(["thermal", "--format", "csv"], "thermal.csv"),
+                (["flower", "--format", "json"], "flower.json")]
+        codes = [main([*argv, "--model", "linear", "--J", "1", "--validate",
+                       "--out", os.path.join(sys.argv[1], name)]) for argv, name in runs]
+        sys.exit(codes != [0, 0] or "numpy.ma" in sys.modules)
+    """
+    assert _fresh_interpreter_exit_code(code, str(tmp_path)) == 0
