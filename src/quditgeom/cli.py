@@ -23,14 +23,10 @@ in the destination directory, moved into place with ``os.replace`` only
 once both are complete (the data file last, and the sidecar removed again
 if that move fails), so a failed run leaves neither new file behind.
 
-``--validate`` re-reads only the p columns and ``physical`` of the data
-file, after the dataset is released, so the data is not held twice.  A
-CSV file is read in one ``np.loadtxt`` call.  A JSON file laid out exactly
-as the writer emits it is read in fixed blocks of bytes, each scanned by
-one regex that captures only the p and ``physical`` cells, so that memory
-does not grow with the file beyond the kept cells.  Any other JSON file is
-read by ``json.load``, so that its values and its errors are
-``json.load``'s.
+``--validate`` re-checks every physical row of the dataset in memory,
+before it is written, in blocks of rows, and reads the closed temporary
+data file back to prove by its SHA-256 that it holds the bytes written.
+The sidecar records that digest on every run.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure with zero successful nodes (also used when --validate finds a
@@ -40,20 +36,29 @@ violation).
 from __future__ import annotations
 
 import argparse
-import array
 import csv
 import functools
 import io
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# CPython's own SHA-256 (``_sha2`` from Python 3.12, ``_sha256`` before):
+# ``hashlib`` loads OpenSSL, which adds about 3.4 MB to the resident memory
+# of every run, more than a whole ``--validate`` check holds
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a Python built without its own hashes
+        from hashlib import sha256
 
 from . import __version__
 from .basis import _check_dimension, simplex_frame
@@ -78,9 +83,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-#: slack on simplex membership for p read from text (``--point`` values and
-#: the file re-read by ``--validate``): decimals typed or rounded by hand,
-#: such as 0.333333333 for 1/3, miss the simplex by more than ``DEFAULT.simplex``
+#: slack on simplex membership for p given as text (``--point`` values) and
+#: for the rows ``--validate`` re-checks, which a file holds as text:
+#: decimals typed or rounded by hand, such as 0.333333333 for 1/3, miss the
+#: simplex by more than ``DEFAULT.simplex``
 _TEXT_SIMPLEX_SLACK = 1e-9
 
 
@@ -420,7 +426,8 @@ _BUILDERS = {
 #: one chunk of cell strings is ever held.  A float column longer than this
 #: whose values are at most half distinct also keeps the text of each
 #: distinct value, in one numpy array of 24-character strings, and formats
-#: them this many at a time (see ``_column_cells``)
+#: them this many at a time (see ``_column_cells``).  ``--validate``
+#: re-checks this many rows at a time
 _CHUNK_CELLS = 2048
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -488,42 +495,27 @@ def _text_chunks(dataset: Dataset, separators: list, *, for_json: bool):
         yield "".join(itertools.chain.from_iterable(zip(*streams)))
 
 
-def _write_csv(handle, dataset: Dataset) -> None:
-    """The bytes of ``csv.writer(lineterminator="\\n")`` over the header and
-    the rows, written one chunk of rows at a time."""
-    handle.write(",".join(map(_csv_field, dataset.columns)) + "\n")
+def _csv_chunks(dataset: Dataset):
+    """The text of ``csv.writer(lineterminator="\\n")`` over the header and
+    the rows: the header, then one chunk of rows at a time."""
+    yield ",".join(map(_csv_field, dataset.columns)) + "\n"
     separators = [""] + [","] * (len(dataset.columns) - 1) + ["\n"]
-    for text in _text_chunks(dataset, separators, for_json=False):
-        handle.write(text)
+    yield from _text_chunks(dataset, separators, for_json=False)
 
 
-#: the text of a JSON export before its column names, between two of them
-#: and after them, up to its first row; what separates two rows; and the
-#: text after the last row
-_JSON_HEAD = ('{\n "columns": [\n  ', ',\n  ', '\n ],\n "rows": [')
-_JSON_ROW_JOIN = ",\n  "
-_JSON_TAIL = "\n ]\n}\n"
-
-
-def _json_row_layout(names) -> list:
-    """The text around the cells of one row of a JSON export with columns
-    ``names``: ``layout[0] cell layout[1] ... cell layout[-1]``."""
-    keys = [json.dumps(name) for name in names]
-    return [f"{{\n   {keys[0]}: "] + [f",\n   {key}: " for key in keys[1:]] + ["\n  }"]
-
-
-def _write_json(handle, dataset: Dataset) -> None:
-    """The bytes of ``json.dump({"columns": [...], "rows": [{...}, ...]},
-    indent=1)`` and a final newline, written one chunk of rows at a time."""
+def _json_chunks(dataset: Dataset):
+    """The text of ``json.dump({"columns": [...], "rows": [{...}, ...]},
+    indent=1)`` and a final newline: the head, one chunk of rows at a time
+    and the tail."""
     keys = [json.dumps(name) for name in dataset.columns]
-    handle.write(_JSON_HEAD[0] + _JSON_HEAD[1].join(keys) + _JSON_HEAD[2])
+    yield '{\n "columns": [\n  ' + ",\n  ".join(keys) + '\n ],\n "rows": ['
     # every row opens with the ",\n" that separates it from the one before;
     # the first row of the file opens with "\n" instead
-    separators = _json_row_layout(dataset.columns)
-    separators[0] = _JSON_ROW_JOIN + separators[0]
+    separators = ([f",\n  {{\n   {keys[0]}: "] + [f",\n   {key}: " for key in keys[1:]]
+                  + ["\n  }"])
     for number, text in enumerate(_text_chunks(dataset, separators, for_json=True)):
-        handle.write(text if number else text[1:])
-    handle.write(_JSON_TAIL)
+        yield text if number else text[1:]
+    yield "\n ]\n}\n"
 
 
 def _unread_options(args) -> set:
@@ -538,7 +530,7 @@ def _unread_options(args) -> set:
     return unread
 
 
-def _sidecar(args, dataset: Dataset) -> dict:
+def _sidecar(args, dataset: Dataset, sha256: str) -> dict:
     unread = _unread_options(args)
     config = {
         key: value
@@ -557,34 +549,57 @@ def _sidecar(args, dataset: Dataset) -> dict:
             "failed_nodes": dataset.failed_nodes,
         },
         "discrepancies": dataset.notes,
+        "sha256": sha256,
     }
 
 
-def _write_outputs(path: str, args, dataset: Dataset) -> None:
-    """Write the data file and its sidecar atomically.
+#: bytes ``_file_digest`` reads at a time
+_DIGEST_BLOCK = 1 << 16
 
-    Both go to temporary files in the destination directory first and are
-    moved into place with ``os.replace`` only once both are complete, the
-    sidecar first and the data file last; if that last move fails, the
-    sidecar just moved is removed again.  On any error the temporary files
-    are removed and no new file is left at ``path`` or beside it.
+
+def _file_digest(path: str) -> str:
+    """The SHA-256 hex digest of the file at ``path``, read in fixed blocks."""
+    digest = sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(_DIGEST_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _write_outputs(path: str, args, dataset: Dataset) -> list:
+    """Write the data file and its sidecar atomically; return the
+    ``--validate`` problems of the data file, at most one.
+
+    Each chunk of text is encoded once, fed to one SHA-256 and written, and
+    the sidecar records the digest.  Under ``--validate`` the closed
+    temporary data file is read back and must hash to the same digest.
+    Both files go to temporary files in the destination directory first
+    and are moved into place with ``os.replace`` only once both are
+    complete, the sidecar first and the data file last; if that last move
+    fails, the sidecar just moved is removed again.  On any error the
+    temporary files are removed and no new file is left at ``path`` or
+    beside it.
     """
-    write_data = _write_csv if args.format == "csv" else _write_json
-    payload = _sidecar(args, dataset)
+    chunks = (_csv_chunks if args.format == "csv" else _json_chunks)(dataset)
     sidecar = path + ".meta.json"
-    jobs = (
-        (path, lambda handle: write_data(handle, dataset)),
-        (sidecar, lambda handle: handle.write(json.dumps(payload, indent=1) + "\n")),
-    )
     suffix = f".{os.getpid()}-{os.urandom(4).hex()}.tmp"
-    written = []
+    data_temp, sidecar_temp = path + suffix, sidecar + suffix
+    written, problems = [], []
     try:
-        for target, write in jobs:
-            temp = target + suffix
-            with open(temp, "x", newline="", encoding="utf-8") as handle:
-                written.append(temp)
-                write(handle)
-        data_temp, sidecar_temp = written
+        digest = sha256()
+        with open(data_temp, "xb") as handle:
+            written.append(data_temp)
+            for text in chunks:
+                data = text.encode()
+                digest.update(data)
+                handle.write(data)
+        payload = _sidecar(args, dataset, digest.hexdigest())
+        with open(sidecar_temp, "xb") as handle:
+            written.append(sidecar_temp)
+            handle.write((json.dumps(payload, indent=1) + "\n").encode())
+        if args.validate and (on_disk := _file_digest(data_temp)) != payload["sha256"]:
+            problems.append(f"the data file hashes to SHA-256 {on_disk}, "
+                            f"not to {payload['sha256']} of the bytes written")
         os.replace(sidecar_temp, sidecar)
         try:
             os.replace(data_temp, path)
@@ -595,258 +610,40 @@ def _write_outputs(path: str, args, dataset: Dataset) -> None:
         for temp in written:
             if os.path.exists(temp):
                 os.remove(temp)
+    return problems
 
 
-def _is_p(name: str) -> bool:
-    return name.startswith("p") and name[1:].isdigit()
-
-
-def _physical(cells) -> np.ndarray:
-    """Which cells of the physical column read 1 (as ``1`` or ``1.0``)."""
-    return np.isin(np.asarray(cells, dtype=str), ("1", "1.0"))
-
-
-#: bytes the JSON re-read of the writer's layout reads at a time
-_JSON_BLOCK = 1 << 14
-#: JSON texts the layout path reads: a p cell is a float as the writer
-#: writes it (a number with a fraction or an exponent, NaN or +-Infinity)
-#: or null; another cell any scalar json decodes alike, numbers with at
-#: most 20 integer digits (int() refuses very long ones, as json then does)
-#: and ASCII strings without escapes or control characters; a column name
-#: any ASCII JSON string
-_JSON_FLOAT = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity"
-_JSON_SCALAR = (rb"-?(?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity"
-                rb'|"[^"\\\x00-\x1f\x80-\xff]*"|true|false|null')
-_JSON_NAME = rb'"(?:[^"\\\x00-\x1f\x80-\xff]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*"'
-#: the head of a JSON export, to the end of the line that opens its rows;
-#: the group is its column names as the items of a JSON list
-_JSON_COLUMNS = re.compile(rb"%s(%s(?:%s%s)*)%s\n" % (
-    re.escape(_JSON_HEAD[0].encode()), _JSON_NAME,
-    re.escape(_JSON_HEAD[1].encode()), _JSON_NAME, re.escape(_JSON_HEAD[2].encode())))
-
-
-@functools.lru_cache(maxsize=64)
-def _json_rows_pattern(names: tuple):
-    """``(regex, p_at, physical_at)`` for the rows of a JSON export with
-    columns ``names`` in the exact layout ``_write_json`` emits; None unless
-    the names are distinct.
-
-    ``regex`` matches the bytes of one row from the start of its line, up
-    to the start of the next row or to the end of the file.  It captures
-    the p cells of the row (None for a null one), its physical cell, in
-    column order, and last the end of the file; ``p_at`` and
-    ``physical_at`` (None without ``physical``) index them among its groups.
-    """
-    if len(set(names)) != len(names):
-        return None
-    cells = [rb"(?:(%s)|null)" % _JSON_FLOAT if _is_p(name) else rb"([01])" if name == "physical"
-             else rb"(?:%s)" % _JSON_SCALAR for name in names]
-    layout = [re.escape(text.encode()) for text in _json_row_layout(names)]
-    row = b"".join(itertools.chain.from_iterable(zip(layout, cells))) + layout[-1]
-    # a row that another follows ends in ",\n", and the next line opens with "  "
-    join, indent = (re.escape(text.encode()) for text in (_JSON_ROW_JOIN[:2], _JSON_ROW_JOIN[2:]))
-    tail = re.escape(_JSON_TAIL.encode())
-    regex = re.compile(rb"%s%s(?:%s|(%s)\Z)" % (indent, row, join, tail))
-    captured = [name for name in names if _is_p(name) or name == "physical"]
-    p_at = [i for i, name in enumerate(captured) if name != "physical"]
-    return regex, p_at, captured.index("physical") if "physical" in captured else None
-
-
-def _read_json_layout(handle):
-    """What ``_read_json`` reads of a JSON export open in binary ``handle``
-    when the file is laid out exactly as ``_write_json`` emits it; else None.
-
-    The head is read a line at a time and matched whole.  The rows are
-    read ``_JSON_BLOCK`` bytes at a time, and each block, after the cut row
-    the one before left, is scanned by the ``_json_rows_pattern`` regex;
-    the matches are taken apart without a Python loop per row.  Only the p
-    cells and the physical flags are kept.
-    """
-    last = _JSON_HEAD[2].rpartition("\n")[2].encode() + b"\n"
-    lines = []
-    for line in handle:
-        lines.append(line)
-        if line == last:
-            break
-    head = _JSON_COLUMNS.fullmatch(b"".join(lines))
-    if head is None:
-        return None
-    names = json.loads(b"[%s]" % head[1])
-    pattern = _json_rows_pattern(tuple(names))
-    if pattern is None:
-        return None
-    regex, p_at, physical_at = pattern
-    p, unreadable, physical = array.array("d"), array.array("q"), bytearray()
-    count, held, ended = 0, b"", False
-    while data := handle.read(_JSON_BLOCK):
-        if ended:
-            return None
-        # each block, and all made of it, is dropped before the next read:
-        # the matches hold the whole block
-        held += data
-        del data
-        rows = list(iter(regex.scanner(held).match, None))
-        if not rows:
-            # a row of the layout holds "\n  }" only at its end: once that
-            # and the longest ending after it are held, a row that does not
-            # match never will, and the rest of the file need not be read
-            end = held.find(b"\n  }")
-            if 0 <= end <= len(held) - 4 - len(_JSON_TAIL):
-                return None
-            continue
-        held, ended = held[rows[-1].end():], rows[-1].group(regex.groups) is not None
-        cells = list(zip(*map(re.Match.groups, rows)))
-        del rows
-        # the p cells of the block, row by row; they repeat often
-        texts = list(itertools.chain.from_iterable(zip(*map(cells.__getitem__, p_at))))
-        values = {text: math.nan if text is None else float(text) for text in set(texts)}
-        if None in values:
-            unreadable.extend(count + k // len(p_at) for k, text in enumerate(texts)
-                              if text is None)
-        p.extend(map(values.__getitem__, texts))
-        if physical_at is not None:
-            physical += b"".join(cells[physical_at])
-        count += len(cells[-1])
-        del cells, texts, values
-    if not ended:
-        return None
-    mask = np.zeros(count, dtype=bool)
-    mask[np.asarray(unreadable, dtype=np.intp)] = True
-    return (names, np.asarray(p).reshape(count, len(p_at)), mask,
-            np.frombuffer(physical, dtype=np.uint8) == ord("1"))
-
-
-def _read_json(path: str):
-    """``(names, p, unreadable, physical)`` of a JSON export: its
-    ``columns``, one row of its distinct p columns per row (NaN where a
-    cell does not read as a number), a mask of the rows with such a cell
-    and a mask of the rows whose physical cell reads 1.
-
-    A file in the writer's own layout is read by ``_read_json_layout``;
-    any other by ``json.load``, so that its values and its errors are
-    ``json.load``'s.  Raises ValueError when the file does not decode, or
-    is not an object holding a ``columns`` list of names and a ``rows``
-    list of objects.
-    """
-    with open(path, "rb") as handle:
-        read = _read_json_layout(handle)
-    if read is not None:
-        return read
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        payload = {}
-    names, rows = payload.get("columns"), payload.get("rows")
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
-            and isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
-        raise ValueError("not an object with a 'columns' list of names "
-                         "and a 'rows' list of objects")
-    p_keys = list(dict.fromkeys(filter(_is_p, names)))
-    # a JSON string is no number, though float() reads "0.5" and "1_0"
-    cells = (row.get(key) for row in rows for key in p_keys)
-    values, bad = _floats([None if isinstance(cell, str) else cell for cell in cells])
-    shape = (len(rows), len(p_keys))
-    return (names, values.reshape(shape), bad.reshape(shape).any(axis=1),
-            _physical([str(row.get("physical")) for row in rows]))
-
-
-def _read_columns(path: str, fmt: str):
-    """The p columns and ``physical`` of an exported file, or None without them.
-
-    Returns ``(p, unreadable, physical)``: one row of p per data row (NaN
-    where a cell does not read as a number), a mask of the rows with such a
-    cell and a mask of the rows whose physical cell reads 1.  Only these
-    columns are kept.  A CSV file is read by one ``np.loadtxt``, and again
-    by ``csv.reader`` cell by cell when that meets a cell it cannot parse;
-    a JSON file by ``_read_json``.  Raises ValueError or ``csv.Error`` when
-    the file itself does not parse, or when a JSON file is not an object
-    holding a ``columns`` list of names and a ``rows`` list of objects.
-    """
-    if fmt == "json":
-        names, *read = _read_json(path)
-        return tuple(read) if any(map(_is_p, names)) and "physical" in names else None
-    with open(path, newline="", encoding="utf-8") as handle:
-        names = next(csv.reader(handle), [])
-        wanted = [i for i, name in enumerate(names) if _is_p(name)]
-        if not wanted or "physical" not in names:
-            return None
-        wanted.append(names.index("physical"))
-        # physical is compared with "1" and "1.0": a longer cell cut to
-        # four characters still differs from both
-        dtype = [(f"p{i}", float) for i in wanted[:-1]] + [("physical", "U4")]
-        try:
-            table = np.loadtxt(handle, dtype=dtype, delimiter=",", quotechar='"',
-                               comments=None, usecols=wanted, ndmin=1)
-        except ValueError:
-            handle.seek(0)
-            # np.loadtxt skips blank lines, so the row numbers skip them here
-            # too; a short row is reported once the whole file has parsed
-            pick, last, kept, short = operator.itemgetter(*wanted), max(wanted), [], None
-            rows = filter(None, itertools.islice(csv.reader(handle), 1, None))
-            for number, row in enumerate(rows, start=2):
-                if len(row) > last:
-                    kept.extend(pick(row))
-                elif short is None:
-                    short = f"row {number} has {len(row)} of {len(names)} fields"
-        else:
-            p = np.column_stack([table[name] for name in table.dtype.names[:-1]])
-            return p, np.zeros(len(table), dtype=bool), _physical(table["physical"])
-    if short:
-        raise ValueError(short)
-    read = [_floats(kept[k::len(wanted)]) for k in range(len(wanted) - 1)]
-    p = np.column_stack([values for values, _ in read])
-    unreadable = np.column_stack([bad for _, bad in read]).any(axis=1)
-    return p, unreadable, _physical(kept[len(wanted) - 1::len(wanted)])
-
-
-def _floats(values: list) -> tuple:
-    """Values as floats, and a mask of those that do not read as a number."""
-    try:
-        if None not in values:
-            out = np.array(values, dtype=float)
-            if out.ndim == 1:    # a cell that is a list adds a dimension
-                return out, np.zeros(len(values), dtype=bool)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    out = np.full(len(values), math.nan)
-    unreadable = np.zeros(len(values), dtype=bool)
-    for i, value in enumerate(values):
-        try:
-            out[i] = float(value)
-        except (TypeError, ValueError, OverflowError):
-            unreadable[i] = True
-    return out, unreadable
-
-
-def _validate_output(path: str, fmt: str, args) -> list:
-    """Re-read the p columns and ``physical`` of the emitted file and
-    re-check all physical rows, with the simplex rule ``--point`` applies."""
-    try:
-        read = _read_columns(path, fmt)
-    except (ValueError, csv.Error) as exc:
-        return [f"cannot parse the {fmt.upper()} file: {exc}"]
-    if read is None:
+def _validate_dataset(dataset: Dataset, args) -> list:
+    """Re-check every physical row of ``dataset``: its p must be finite and
+    on the simplex by the rule ``--point`` applies and, for ``locus``, hit
+    the target invariant.  Rows are checked ``_CHUNK_CELLS`` at a time, so
+    no array of the whole table is stacked.  Row i is reported as row
+    i + 2, its line in a CSV file."""
+    columns = dataset.columns
+    p_columns = [col for name, col in columns.items()
+                 if name.startswith("p") and name[1:].isdigit()]
+    if not p_columns or "physical" not in columns:
         return []
-    p, unreadable, physical = read
-    unreadable = physical & unreadable
-    nonfinite = physical & ~unreadable & ~np.isfinite(p).all(axis=1)
-    checked = physical & ~unreadable & ~nonfinite
-    with np.errstate(invalid="ignore", over="ignore"):  # unchecked rows may hold anything
-        outside, defect = _simplex_violations(p, _TEXT_SIMPLEX_SLACK)
-        off_simplex = checked & (outside.any(axis=1) | (defect > 0.0))
-        off_target = np.zeros_like(checked)
-        if args.command == "locus":
-            name, value = _locus_target(args)
-            t = invariants(p, validate=False)[:, int(name[1]) - 2]
-            off_target = checked & (np.abs(t - value) > DEFAULT.invariant_recheck)
+    target = _locus_target(args) if args.command == "locus" else None
     problems = []
-    for i in np.flatnonzero(unreadable | nonfinite | off_simplex | off_target):
-        row_number = int(i) + 2
-        if unreadable[i]:
-            problems.append(f"row {row_number}: physical row has unreadable p")
-        elif nonfinite[i]:
-            problems.append(f"row {row_number}: physical row has non-finite p")
-        else:
+    for start in range(0, len(dataset), _CHUNK_CELLS):
+        p = np.column_stack([col[start:start + _CHUNK_CELLS] for col in p_columns])
+        physical = columns["physical"][start:start + _CHUNK_CELLS] == 1
+        nonfinite = physical & ~np.isfinite(p).all(axis=1)
+        checked = physical & ~nonfinite
+        with np.errstate(invalid="ignore", over="ignore"):  # unchecked rows may hold anything
+            outside, defect = _simplex_violations(p, _TEXT_SIMPLEX_SLACK)
+            off_simplex = checked & (outside.any(axis=1) | (defect > 0.0))
+            off_target = np.zeros_like(checked)
+            if target:
+                name, value = target
+                t = invariants(p, validate=False)[:, int(name[1]) - 2]
+                off_target = checked & (np.abs(t - value) > DEFAULT.invariant_recheck)
+        for i in np.flatnonzero(nonfinite | off_simplex | off_target):
+            row_number = start + int(i) + 2
+            if nonfinite[i]:
+                problems.append(f"row {row_number}: physical row has non-finite p")
+                continue
             if off_simplex[i]:
                 problems.append(f"row {row_number}: p violates the simplex constraints")
             if off_target[i]:
@@ -862,7 +659,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output data file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--validate", action="store_true",
-                        help="re-read the output and re-check all physical rows")
+                        help="re-check all physical rows and prove the written file "
+                             "by its SHA-256")
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
@@ -934,23 +732,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(p)
     _add_common(p)
 
-    # let range values like "-6:6:200" pass as option arguments
-    matcher = re.compile(r"^-\d[\d.:eE+-]*$")
+    # let range values like "-6:6:200" and grids like "-0,1" pass as option arguments
+    matcher = re.compile(r"^-\d[\d.:,eE+-]*$")
     for sub_parser in sub.choices.values():
         sub_parser._negative_number_matcher = matcher
 
     return parser
-
-
-def _export(args) -> tuple:
-    """Build the dataset of ``args`` and write it unless every node failed;
-    return only ``(failed_nodes, rows)``, so that the dataset is released
-    before ``--validate`` re-reads the file."""
-    dataset = _BUILDERS[args.command](args)
-    failed, rows = dataset.failed_nodes, len(dataset)
-    if not failed or failed < rows:
-        _write_outputs(args.out, args, dataset)
-    return failed, rows
 
 
 def main(argv=None) -> int:
@@ -962,14 +749,16 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "spin_text"):
             args.spin = _parse_spin(args.spin_text)
-        failed, rows = _export(args)
+        dataset = _BUILDERS[args.command](args)
+        failed, rows = dataset.failed_nodes, len(dataset)
         if failed and failed == rows:
             print("numerical-failure: no node produced a finite result", file=sys.stderr)
             return EXIT_NUMERICAL
+        problems = _validate_dataset(dataset, args) if args.validate else []
+        problems += _write_outputs(args.out, args, dataset)
         if failed:
             print(f"note: {failed} of {rows} nodes had no admissible solution and were masked",
                   file=sys.stderr)
-        problems = _validate_output(args.out, args.format, args) if args.validate else []
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import quditgeom
 from quditgeom.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     _parse_beta_grid,
     _parse_range,
@@ -149,10 +151,10 @@ class TestThermalCommand:
     def test_negative_zero_beta_writes_what_zero_does(self, tmp_path, command, fmt):
         outs = []
         for grid in ("0", "-0", "0,-0", "-0,0"):
-            outs.append(tmp_path / f"{len(outs)}.{fmt}")
-            assert main([command, "--model", "lmg", "--J", "1", "--gx", "0.5",
-                         f"--beta-grid={grid}", "--format", fmt, "--validate",
-                         "--out", str(outs[-1])]) == EXIT_OK
+            for option in ([f"--beta-grid={grid}"], ["--beta-grid", grid]):
+                outs.append(tmp_path / f"{len(outs)}.{fmt}")
+                assert main([command, "--model", "lmg", "--J", "1", "--gx", "0.5", *option,
+                             "--format", fmt, "--validate", "--out", str(outs[-1])]) == EXIT_OK
         assert len({out.read_bytes() for out in outs}) == 1
 
 
@@ -175,6 +177,7 @@ class TestSidecar:
         assert first == second
         assert not (unread | {"out"}) & set(first["config"])
         assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert first["sha256"] == hashlib.sha256(outs[0].read_bytes()).hexdigest()
 
 
 class TestPhaseDiagramCommand:
@@ -487,15 +490,15 @@ class TestErrorPaths:
     def test_failed_validate_read_exits_three(self, tmp_path, monkeypatch, capsys):
         import quditgeom.cli as cli_mod
 
-        def unreadable(path, fmt):
+        def unreadable(path):
             raise OSError(5, "Input/output error")
 
-        monkeypatch.setattr(cli_mod, "_read_columns", unreadable)
+        monkeypatch.setattr(cli_mod, "_file_digest", unreadable)
         out = tmp_path / "grid.csv"
         code = main(["map", "--n", "3", "--grid", "4", "--validate", "--out", str(out)])
         assert code == EXIT_IO
         assert capsys.readouterr().err == "io-error: [Errno 5] Input/output error\n"
-        assert sorted(os.listdir(tmp_path)) == ["grid.csv", "grid.csv.meta.json"]
+        assert os.listdir(tmp_path) == []
 
     def test_out_path_holding_a_nul_exits_two(self, tmp_path, capsys):
         code = main(["frame", "--n", "3", "--out", str(tmp_path / "x\0.csv")])
@@ -530,14 +533,11 @@ class TestWriters:
         writer.writerow(["x", "count", "label", "physical"])
         for k, (x, label) in enumerate(zip(self.FLOATS, self.LABELS)):
             writer.writerow([repr(x + 0.0), repr(k - 3), label, repr(1 - k % 2)])
-        got = io.StringIO()
-        cli_mod._write_csv(got, self._dataset())
-        assert got.getvalue() == expected.getvalue()
+        got = "".join(cli_mod._csv_chunks(self._dataset()))
+        assert got == expected.getvalue()
 
     @pytest.mark.parametrize("chunk_cells", [1, 12, 4096])
     def test_json_matches_json_dumps(self, monkeypatch, chunk_cells):
-        import io
-
         import quditgeom.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "_CHUNK_CELLS", chunk_cells)
@@ -549,9 +549,8 @@ class TestWriters:
                 for k, (x, label) in enumerate(zip(self.FLOATS, self.LABELS))
             ],
         }
-        got = io.StringIO()
-        cli_mod._write_json(got, self._dataset())
-        assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
+        got = "".join(cli_mod._json_chunks(self._dataset()))
+        assert got == json.dumps(payload, indent=1) + "\n"
 
     def test_column_that_repeats_off_a_strided_sample_formats_each_value_once(
             self, monkeypatch):
@@ -573,17 +572,15 @@ class TestWriters:
         monkeypatch.setattr(cli_mod, "_cells", lambda column, *, for_json: (
             formatted.append(column.copy()) or cells(column, for_json=for_json)))
 
-        got = io.StringIO()
-        cli_mod._write_csv(got, Dataset(columns={"x": x}))
+        got = "".join(cli_mod._csv_chunks(Dataset(columns={"x": x})))
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows([["x"]] + [[repr(v + 0.0)]
                                                                        for v in values])
-        assert got.getvalue() == expected.getvalue()
-        got = io.StringIO()
-        cli_mod._write_json(got, Dataset(columns={"x": x}))
+        assert got == expected.getvalue()
+        got = "".join(cli_mod._json_chunks(Dataset(columns={"x": x})))
         payload = {"columns": ["x"],
                    "rows": [{"x": None if math.isnan(v) else v + 0.0} for v in values]}
-        assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
+        assert got == json.dumps(payload, indent=1) + "\n"
 
         # per writer: each number once, and each NaN row (each counts as distinct)
         formatted = np.concatenate(formatted)
@@ -592,64 +589,50 @@ class TestWriters:
         assert np.isnan(formatted).sum() == 3 * 2
 
 
-class TestValidate:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_validate_runs_after_the_dataset_is_released(self, tmp_path, monkeypatch, fmt):
-        import weakref
+def _dataset_of_rows(rows):
+    """A dataset whose p1, p2, p3 and physical columns hold ``rows``."""
+    from quditgeom.cli import Dataset
 
+    p1, p2, p3, physical = (np.array(column) for column in zip(*rows))
+    return Dataset(columns={"p1": p1, "p2": p2, "p3": p3, "physical": physical})
+
+
+class TestValidate:
+    @staticmethod
+    def _run(tmp_path, monkeypatch, argv, dataset, fmt):
+        """The exit code of ``argv`` exported with ``--validate`` in ``fmt``,
+        with ``dataset`` in place of what its builder makes."""
         import quditgeom.cli as cli_mod
 
-        refs, checked = [], []
-        build, validate = cli_mod._BUILDERS["map"], cli_mod._validate_output
-
-        def build_and_keep_a_ref(args):
-            dataset = build(args)
-            refs.append(weakref.ref(dataset))
-            return dataset
-
-        def validate_once_released(*args):
-            assert refs[-1]() is None, "the dataset is still held"
-            checked.append(args)
-            return validate(*args)
-
-        monkeypatch.setitem(cli_mod._BUILDERS, "map", build_and_keep_a_ref)
-        monkeypatch.setattr(cli_mod, "_validate_output", validate_once_released)
-        assert main(["map", "--n", "4", "--grid", "12", "--validate", "--format", fmt,
-                     "--out", str(tmp_path / f"grid.{fmt}")]) == EXIT_OK
-        assert len(refs) == len(checked) == 1
+        monkeypatch.setitem(cli_mod._BUILDERS, argv[0], lambda args: dataset)
+        return main([*argv, "--format", fmt, "--validate", "--out", str(tmp_path / f"v.{fmt}")])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_reports_each_bad_physical_row(self, tmp_path, fmt):
-        from argparse import Namespace
+    def test_reports_each_bad_physical_row(self, tmp_path, monkeypatch, capsys, fmt):
+        import quditgeom.cli as cli_mod
 
-        from quditgeom.cli import _validate_output
-
-        rows = [
-            (0.5, 0.25, 0.25, 1),      # fine, t2 = 0.375
-            (0.5, 0.5, 0.5, 1),        # off the simplex, and t2 off target
-            ("x", 0.5, 0.5, 1),        # unreadable
-            (math.nan, 0.5, 0.5, 1),   # non-finite
-            ("x", math.nan, 2.0, 0),   # not physical: never checked
-            (0.2, 0.3, 0.5, 1.0),      # t2 off target only
-        ]
-        path = tmp_path / f"v.{fmt}"
-        if fmt == "csv":
-            path.write_text("p1,p2,p3,physical\n"
-                            + "".join(",".join(map(str, row)) + "\n" for row in rows))
-        else:
-            path.write_text(json.dumps({"columns": ["p1", "p2", "p3", "physical"], "rows": [
-                dict(zip(["p1", "p2", "p3", "physical"],
-                         [None if isinstance(x, float) and math.isnan(x) else x for x in row]))
-                for row in rows]}))
-        problems = _validate_output(str(path), fmt, Namespace(command="locus", t2=0.375))
-        nonfinite = "unreadable" if fmt == "json" else "non-finite"  # JSON null is no number
-        assert problems == [
+        dataset = _dataset_of_rows([
+            (0.5, 0.25, 0.25, 1),          # fine, t2 = 0.375
+            (0.5, 0.5, 0.5, 1),            # off the simplex, and t2 off target
+            (0.25, 0.5, 0.25, 1),          # fine
+            (math.nan, 0.5, 0.5, 1),       # non-finite
+            (math.inf, math.nan, 2.0, 0),  # not physical: never checked
+            (0.2, 0.3, 0.5, 1),            # t2 off target only
+        ])
+        problems = [
             "row 3: p violates the simplex constraints",
             "row 3: t2 deviates from 0.375",
-            "row 4: physical row has unreadable p",
-            f"row 5: physical row has {nonfinite} p",
+            "row 5: physical row has non-finite p",
             "row 7: t2 deviates from 0.375",
         ]
+        args = Namespace(command="locus", t2=0.375)
+        for rows_per_block in (1, 4, 4096):  # row numbers count across blocks
+            monkeypatch.setattr(cli_mod, "_CHUNK_CELLS", rows_per_block)
+            assert cli_mod._validate_dataset(dataset, args) == problems
+        assert self._run(tmp_path, monkeypatch, ["locus", "--n", "3", "--t2", "0.375"],
+                         dataset, fmt) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "".join(f"validate: {line}\n" for line in problems)
+        assert sorted(os.listdir(tmp_path)) == [f"v.{fmt}", f"v.{fmt}.meta.json"]
 
     def test_failure_prints_twenty_problems_exits_four_and_keeps_files(self, tmp_path,
                                                                        monkeypatch, capsys):
@@ -666,415 +649,79 @@ class TestValidate:
             f"validate: row {row}: t2 deviates from 0.5\n" for row in range(2, 22))
         assert sorted(os.listdir(tmp_path)) == ["locus.csv", "locus.csv.meta.json"]
 
-    @pytest.mark.parametrize("fmt, grid, message", [
-        ("csv", "4", "cannot parse the CSV file: row 3 has 1 of 8 fields"),
-        ("csv", "60", "cannot parse the CSV file: field larger than field limit (131072)"),
-        ("json", "4", "cannot parse the JSON file: Unterminated string starting at: "
-                      "line 85 column 4 (char 1140)"),
-    ], ids=["csv-short-row", "csv-field-limit", "json-truncated"])
-    def test_file_that_does_not_parse_is_one_problem(self, tmp_path, monkeypatch, capsys,
-                                                      fmt, grid, message):
+    def test_validate_stacks_no_whole_table_array(self, tmp_path, monkeypatch):
+        import tracemalloc
+
         import quditgeom.cli as cli_mod
 
-        write_outputs = cli_mod._write_outputs
+        validate, peaks = cli_mod._validate_dataset, []
 
-        def write_then_break(path, args, dataset):
-            # an unterminated quote opening the second data row, or half a JSON file
-            write_outputs(path, args, dataset)
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            if fmt == "json":
-                text = text[: len(text) // 2]
-            else:
-                header, first, rest = text.split("\n", 2)
-                text = f'{header}\n{first}\n"{rest}'
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        def traced(dataset, args):
+            tracemalloc.start()
+            try:
+                problems = validate(dataset, args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return problems
 
-        monkeypatch.setattr(cli_mod, "_write_outputs", write_then_break)
-        out = tmp_path / f"grid.{fmt}"
-        code = main(["map", "--n", "3", "--grid", grid, "--format", fmt, "--validate",
-                     "--out", str(out)])
-        assert code == cli_mod.EXIT_NUMERICAL
-        assert capsys.readouterr().err == f"validate: {message}\n"
-        assert sorted(os.listdir(tmp_path)) == [f"grid.{fmt}", f"grid.{fmt}.meta.json"]
+        monkeypatch.setattr(cli_mod, "_validate_dataset", traced)
+        assert main(["map", "--n", "5", "--grid", "29", "--validate",
+                     "--out", str(tmp_path / "grid.csv")]) == EXIT_OK
+        # 40,920 rows, whose p columns alone take 1.6 MB
+        assert len(peaks) == 1 and peaks[0] < 40920 * 5 * 8 / 2
 
-    @pytest.mark.parametrize("block", [1, 7, 4096])
-    def test_truncated_json_reads_alike_at_every_block_size(self, tmp_path, monkeypatch,
-                                                            capsys, block):
-        import quditgeom.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
-        self.test_file_that_does_not_parse_is_one_problem(
-            tmp_path, monkeypatch, capsys, "json", "4",
-            "cannot parse the JSON file: Unterminated string starting at: "
-            "line 85 column 4 (char 1140)")
-
-    @pytest.mark.parametrize("text", [
-        "[]",
-        '"x"',
-        '{"columns": ["p1", "p2", "physical"]}',
-        '{"columns": ["p1", "p2", "physical"], "rows": [[0.5, 0.5, 1]]}',
-        '{"columns": 3, "rows": []}',
-    ], ids=["list", "string", "no-rows", "row-is-list", "columns-not-list"])
-    def test_json_of_another_shape_is_one_problem(self, tmp_path, monkeypatch, capsys, text):
-        import quditgeom.cli as cli_mod
-
-        write_outputs = cli_mod._write_outputs
-
-        def write_then_replace(path, args, dataset):
-            write_outputs(path, args, dataset)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-
-        monkeypatch.setattr(cli_mod, "_write_outputs", write_then_replace)
-        out = tmp_path / "grid.json"
-        code = main(["map", "--n", "2", "--grid", "2", "--format", "json", "--validate",
-                     "--out", str(out)])
-        assert code == cli_mod.EXIT_NUMERICAL
-        assert capsys.readouterr().err == (
-            "validate: cannot parse the JSON file: not an object with a 'columns' list "
-            "of names and a 'rows' list of objects\n")
-        assert sorted(os.listdir(tmp_path)) == ["grid.json", "grid.json.meta.json"]
-
-    def test_json_p_cell_that_is_a_list_is_unreadable(self, tmp_path, monkeypatch, capsys):
-        import quditgeom.cli as cli_mod
-
-        text = ('{"columns": ["p1", "p2", "physical"], '
-                '"rows": [{"p1": [0.5], "p2": [0.5], "physical": 1}]}')
-        path = tmp_path / "v.json"
-        path.write_text(text)
-        assert cli_mod._validate_output(str(path), "json", Namespace(command="map")) == [
-            "row 2: physical row has unreadable p"]
-
-        write_outputs = cli_mod._write_outputs
-
-        def write_then_replace(path, args, dataset):
-            write_outputs(path, args, dataset)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-
-        monkeypatch.setattr(cli_mod, "_write_outputs", write_then_replace)
-        code = main(["map", "--n", "2", "--grid", "2", "--format", "json", "--validate",
-                     "--out", str(tmp_path / "grid.json")])
-        assert code == cli_mod.EXIT_NUMERICAL
-        assert capsys.readouterr().err == "validate: row 2: physical row has unreadable p\n"
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_masked_locus_rows_validate_without_a_warning(self, tmp_path, fmt):
+        out = tmp_path / f"locus.{fmt}"
+        assert main(["locus", "--n", "4", "--t4", "0.3", "--theta-samples", "16",
+                     "--phi-samples", "32", "--format", fmt, "--validate",
+                     "--out", str(out)]) == EXIT_OK
+        meta = json.loads((tmp_path / f"locus.{fmt}.meta.json").read_text())
+        assert meta["counts"]["failed_nodes"] > 0  # masked rows hold NaN p
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_validate_and_point_apply_one_simplex_rule(self, tmp_path, capsys, fmt):
-        from quditgeom.cli import _validate_output
+    def test_flipped_byte_on_disk_is_one_problem_and_keeps_files(self, tmp_path, monkeypatch,
+                                                                 capsys, fmt):
+        import quditgeom.cli as cli_mod
 
+        file_digest, reads = cli_mod._file_digest, []
+
+        def flip_a_byte_then_digest(path):
+            reads.append(path)
+            with open(path, "r+b") as handle:
+                handle.seek(40)
+                byte = handle.read(1)[0]
+                handle.seek(40)
+                handle.write(bytes([byte ^ 1]))
+            return file_digest(path)
+
+        monkeypatch.setattr(cli_mod, "_file_digest", flip_a_byte_then_digest)
+        out = tmp_path / f"grid.{fmt}"
+        argv = ["map", "--n", "3", "--grid", "4", "--format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert reads == []  # only --validate reads the file back
+        assert main([*argv, "--validate"]) == EXIT_NUMERICAL
+        assert len(reads) == 1
+        written = json.loads((tmp_path / f"grid.{fmt}.meta.json").read_text())["sha256"]
+        on_disk = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert on_disk != written
+        assert capsys.readouterr().err == (f"validate: the data file hashes to SHA-256 "
+                                           f"{on_disk}, not to {written} of the bytes written\n")
+        assert sorted(os.listdir(tmp_path)) == [f"grid.{fmt}", f"grid.{fmt}.meta.json"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_validate_and_point_apply_one_simplex_rule(self, tmp_path, monkeypatch, capsys,
+                                                       fmt):
         # within 1e-9 of summing to 1 and of 0, but p1 lies above 1 + 1e-9
         row = "1.0000000015,-7.5e-10,-7.5e-10"
         assert main(["map", "--n", "3", "--point", row, "--out", str(tmp_path / "p.csv")]) \
             == EXIT_CONFIG
         assert "is not a probability vector" in capsys.readouterr().err
-        path = tmp_path / f"v.{fmt}"
-        p = [float(x) for x in row.split(",")]
-        if fmt == "csv":
-            path.write_text(f"p1,p2,p3,physical\n{row},1\n")
-        else:
-            path.write_text(json.dumps({"columns": ["p1", "p2", "p3", "physical"],
-                                        "rows": [{"p1": p[0], "p2": p[1], "p3": p[2],
-                                                  "physical": 1}]}))
-        assert _validate_output(str(path), fmt, Namespace(command="map")) == [
-            "row 2: p violates the simplex constraints"]
-
-
-def _csv_file(path, header, rows, *, blank_after=None):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for number, row in enumerate(rows):
-            writer.writerow(row)
-            if number == blank_after:
-                handle.write("\n")
-
-
-class TestCsvReadBack:
-    """The one-call ``np.loadtxt`` read of a CSV file and the ``csv.reader``
-    fallback give the same columns and the same problems."""
-
-    HEADER = ["label", "p1", "p2", "p3", "physical"]
-
-    def _quoted(self, path):
-        _csv_file(path, self.HEADER, [
-            ("line\nbreak", 0.5, 0.25, 0.25, 1),
-            ("c,omma", 0.5, 0.5, 0.5, 1),
-            ('q"uote', 0.2, 0.3, 0.5, 1),
-            ("ok", 0.25, 0.5, 0.25, 1),
-            ("#hash", 0.2, 0.3, 0.5, 1),
-        ], blank_after=2)
-
-    def _unreadable(self, path):
-        _csv_file(path, self.HEADER, [
-            ("a", "x", 0.5, 0.5, 1),
-            ("b", "nan", 0.5, 0.5, 1),
-            ("c", "", 0.5, 0.5, 0),
-            ("d", 0.5, 0.25, 0.25, 1),
-        ])
-
-    def _physical_float(self, path):
-        _csv_file(path, self.HEADER, [
-            ("a", 0.5, 0.25, 0.25, "1.0"),
-            ("b", 0.5, 0.5, 0.5, "1.0"),
-            ("c", 0.5, 0.5, 0.5, "1.00"),
-            ("d", 0.5, 0.5, 0.5, "0.0"),
-        ])
-
-    def _map(self, path):
-        assert main(["map", "--n", "4", "--grid", "12", "--out", str(path)]) == EXIT_OK
-
-    def _flower(self, path):
-        assert main(["flower", "--model", "lmg", "--J", "2", "--gx", "0.7", "--gy", "-1.3",
-                     "--beta-grid", "0,log:1e-2:1e2:20", "--out", str(path)]) == EXIT_OK
-
-    OFF_SIMPLEX = ["row 3: p violates the simplex constraints", "row 3: t2 deviates from 0.375"]
-
-    @pytest.mark.parametrize("make, loadtxt_reads, problems", [
-        ("_quoted", True, OFF_SIMPLEX + ["row 4: t2 deviates from 0.375",
-                                         "row 6: t2 deviates from 0.375"]),
-        ("_unreadable", False, ["row 2: physical row has unreadable p",
-                                "row 3: physical row has non-finite p"]),
-        ("_physical_float", True, OFF_SIMPLEX),
-        ("_map", True, None),  # t2 misses 0.375 on most rows: long lists to compare
-        ("_flower", True, None),
-    ])
-    def test_loadtxt_and_csv_reader_agree(self, tmp_path, monkeypatch, make, loadtxt_reads,
-                                          problems):
-        import quditgeom.cli as cli_mod
-
-        path = tmp_path / "table.csv"
-        getattr(self, make)(path)
-        args = Namespace(command="locus", t2=0.375)
-        loadtxt, reads = np.loadtxt, []
-
-        def spy(*a, **k):
-            table = loadtxt(*a, **k)
-            reads.append(len(table))
-            return table
-
-        def refuse(*a, **k):
-            raise ValueError("refused")
-
-        def read_back():
-            return (cli_mod._read_columns(str(path), "csv"),
-                    cli_mod._validate_output(str(path), "csv", args))
-
-        monkeypatch.setattr(np, "loadtxt", spy)
-        (p, unreadable, physical), fast = read_back()
-        assert bool(reads) == loadtxt_reads
-        monkeypatch.setattr(np, "loadtxt", refuse)
-        (p_slow, unreadable_slow, physical_slow), slow = read_back()
-        assert p.dtype == p_slow.dtype and p.shape == p_slow.shape
-        np.testing.assert_array_equal(p, p_slow)
-        assert np.array_equal(unreadable, unreadable_slow)
-        assert np.array_equal(physical, physical_slow)
-        assert fast == slow
-        assert problems is None or fast == problems
-
-
-def _read_bits(path, *, layout=True):
-    """What ``_read_columns`` reads of a JSON file, bit for bit, or its error;
-    with ``layout`` False, as the ``json.load`` path alone reads it."""
-    import quditgeom.cli as cli_mod
-
-    with mock.patch.object(cli_mod, "_read_json_layout",
-                           cli_mod._read_json_layout if layout else lambda handle: None):
-        try:
-            read = cli_mod._read_columns(str(path), "json")
-        except ValueError as exc:
-            return str(exc)
-    return read and [(column.dtype, column.shape, column.tobytes()) for column in read]
-
-
-class TestJsonReadBack:
-    """The JSON re-read keeps only the p and physical cells of each row, and
-    reads what a plain ``json.load`` of the whole file holds."""
-
-    @staticmethod
-    def _plain(path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        names = [name for name in payload["columns"] if name[0] == "p" and name[1:].isdigit()]
-        cells = [[row.get(name) for name in names] for row in payload["rows"]]
-        p = np.array([[np.nan if c is None or isinstance(c, str) else c for c in row]
-                      for row in cells], dtype=float)
-        unreadable = np.array([any(c is None or isinstance(c, str) for c in row)
-                               for row in cells])
-        physical = np.array([str(row.get("physical")) in ("1", "1.0")
-                             for row in payload["rows"]])
-        return p, unreadable, physical
-
-    def _hand_made(self, path):
-        path.write_text(json.dumps({
-            "note": {"p1": 9, "rows": []},
-            "columns": ["label", "p1", "p2", "physical"],
-            "rows": [
-                {"physical": 1, "p2": 0.75, "label": {"p1": 5}, "p1": 0.25},
-                {"label": "x", "p1": 0.5, "physical": 1.0},   # p2 missing
-                {"p1": "x", "p2": 0.5, "physical": 0, "extra": [1, 2]},
-                {"p1": 0.5, "p2": 0.5, "physical": "1"},
-                {"p1": 0.5, "p2": 0.5, "physical": [1]},
-                {"p1": "0.5", "p2": 0.5, "physical": 1},   # a string is no number
-                {"p1": 0.5, "p2": "1_0", "physical": 1},
-                {"p1": True, "p2": False, "physical": 1},
-            ],
-        }))
-
-    def _map(self, path):
-        assert main(["map", "--n", "4", "--grid", "12", "--format", "json",
-                     "--out", str(path)]) == EXIT_OK
-
-    ROW = '{"p1": 0.5, "p2": 0.25, "physical": 1}, {"p1": 0.5, "p2": 0.5, "physical": 1}'
-
-    def _rows_first(self, path):
-        path.write_text(f'{{"rows": [{self.ROW}], "columns": ["p1", "p2", "physical"]}}')
-
-    def _columns_again_after_rows(self, path):
-        # json.load keeps the last of two equal keys
-        path.write_text(f'{{"columns": ["p1", "physical"], "rows": [{self.ROW}], '
-                        '"columns": ["p1", "p2", "physical"]}')
-
-    @pytest.mark.parametrize("make", ["_hand_made", "_map", "_rows_first",
-                                      "_columns_again_after_rows"])
-    def test_reads_what_json_load_holds(self, tmp_path, make):
-        import quditgeom.cli as cli_mod
-
-        path = tmp_path / "table.json"
-        getattr(self, make)(path)
-        p, unreadable, physical = cli_mod._read_columns(str(path), "json")
-        p_plain, unreadable_plain, physical_plain = self._plain(path)
-        np.testing.assert_array_equal(p, p_plain)
-        assert np.array_equal(unreadable, unreadable_plain)
-        assert np.array_equal(physical, physical_plain)
-
-
-    @pytest.mark.parametrize("block", [1, 7, 4096])
-    @pytest.mark.parametrize("make", ["_hand_made", "_map"])
-    def test_block_size_does_not_matter(self, tmp_path, monkeypatch, make, block):
-        import quditgeom.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
-        self.test_reads_what_json_load_holds(tmp_path, make)
-
-    def test_integer_too_large_for_a_float_is_unreadable(self, tmp_path, cell="9" * 400):
-        from quditgeom.cli import _validate_output
-
-        path = tmp_path / "table.json"
-        path.write_text('{"columns": ["p1", "p2", "physical"], "rows": ['
-                        '{"p1": 0.5, "p2": 0.5, "physical": 1}, '
-                        f'{{"p1": {cell}, "p2": 0.5, "physical": 1}}]}}')
-        assert _validate_output(str(path), "json", Namespace(command="map")) == [
-            "row 3: physical row has unreadable p"]
-
-    @pytest.mark.parametrize("cell", ['"0.5"', '"1_0"'])
-    def test_string_cell_is_unreadable(self, tmp_path, cell):
-        # float() reads both strings, as 0.5 and as 10.0
-        self.test_integer_too_large_for_a_float_is_unreadable(tmp_path, cell)
-
-    @pytest.mark.parametrize("block", [1, 7, None])
-    def test_decode_errors_read_as_json_load_reports_them(self, tmp_path, monkeypatch, block):
-        import quditgeom.cli as cli_mod
-
-        if block is not None:
-            monkeypatch.setattr(cli_mod, "_JSON_BLOCK", block)
-        # a file of another layout, where a number that ends a member value
-        # may be cut by a block's end, and so may a literal or an escape
-        text = json.dumps({
-            "scale": -1.5e-3, "flags": [True, None, -math.inf, "\U0001f600"],
-            "columns": ["label", "p1", "physical"],
-            "rows": [{"label": "é€", "p1": 1e-7, "physical": 1}, {"p1": -0.5, "physical": 0}],
-        }, indent=1, ensure_ascii=False)
-        text = text.replace("\U0001f600", "\\ud83d\\ude00").replace("\n", "\r\n", 4)
-        # and files in the writer's own layout, with and without string cells
-        path = tmp_path / "table.json"
-        raws = [text.encode("utf-8")]
-        for argv in (["map", "--n", "2", "--grid", "1"],
-                     ["flower", "--model", "linear", "--J", "1/2", "--beta-grid", "0"]):
-            assert main([*argv, "--format", "json", "--out", str(path)]) == EXIT_OK
-            raws.append(path.read_bytes())
-        variants = []
-        for raw in raws:
-            variants += [raw[:cut] for cut in range(len(raw) + 1)]
-            variants += [raw[:at] + char + raw[at + 1:]
-                         for at in range(len(raw))
-                         for char in (b"x", b",", b"]", b"}", b"\\", b"\xff",
-                                      b"0", b"1", b" ", b"\r")]
-            # a BOM, data after the end, a cut character, the last row again
-            variants += [b"\xef\xbb\xbf" + raw, raw + b" x", raw[:-1] + b"\xe2\x82",
-                         raw + raw[raw.rindex(b"  {"):]]
-        shape = "not an object with a 'columns' list of names and a 'rows' list of objects"
-        failed = 0
-        for data in variants:
-            path.write_bytes(data)
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    json.load(handle)
-            except ValueError as exc:
-                expected = str(exc)
-                failed += 1
-            else:
-                expected = None
-            read = _read_bits(path)
-            assert read == _read_bits(path, layout=False), data
-            if isinstance(read, str):
-                assert read in (expected, shape), data
-            else:
-                assert expected is None, data
-        assert failed > len(variants) / 2
-
-    def test_peak_memory_stays_below_half_the_file(self, tmp_path):
-        import tracemalloc
-
-        import quditgeom.cli as cli_mod
-
-        path = tmp_path / "map.json"
-        assert main(["map", "--n", "4", "--grid", "20", "--format", "json",
-                     "--out", str(path)]) == EXIT_OK
-        tracemalloc.start()
-        try:
-            p, _, _ = cli_mod._read_columns(str(path), "json")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert p.shape == (1771, 4)
-        assert peak < os.path.getsize(path) / 2
-
-    def test_files_the_cli_writes_take_the_layout_path(self, tmp_path, monkeypatch):
-        import pathlib
-
-        import quditgeom.cli as cli_mod
-
-        masked = tmp_path / "masked.json"
-        assert main(["locus", "--n", "4", "--t4", "0.3", "--theta-samples", "16",
-                     "--phi-samples", "32", "--format", "json", "--out", str(masked)]) == EXIT_OK
-        assert '"p1": null' in masked.read_text()
-        golden = pathlib.Path(__file__).parent / "data" / "golden"
-        paths = [path for path in sorted(golden.glob("*.json"))
-                 if not path.name.endswith(".meta.json")]
-        assert len(paths) == 21
-        loads, load = [], json.load
-        monkeypatch.setattr(json, "load", lambda *a, **k: loads.append(a) or load(*a, **k))
-        reads = [_read_bits(path) for path in [*paths, masked]]
-        assert loads == []
-        assert reads == [_read_bits(path, layout=False) for path in [*paths, masked]]
-        assert len(loads) == len(reads)
-
-
-class TestJsonReadBackScanned(TestJsonReadBack):
-    """The same read-back tests with the layout path off, so that
-    ``json.load`` reads every file."""
-
-    # json.load holds the whole file, and is what the layout path spares
-    test_peak_memory_stays_below_half_the_file = None
-    test_files_the_cli_writes_take_the_layout_path = None
-
-    @pytest.fixture(autouse=True)
-    def _json_load_only(self, monkeypatch):
-        import quditgeom.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "_read_json_layout", lambda handle: None)
+        dataset = _dataset_of_rows([(*map(float, row.split(",")), 1)])
+        assert self._run(tmp_path, monkeypatch, ["map", "--n", "3"], dataset, fmt) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "validate: row 2: p violates the simplex constraints\n"
 
 
 class TestAtomicOutput:
@@ -1108,7 +755,7 @@ class TestAtomicOutput:
         out = tmp_path / f"grid.{fmt}"
         code = main(["map", "--n", "3", "--grid", "6", "--format", fmt, "--out", str(out)])
         assert code == EXIT_IO
-        assert len(writes) == 2 and "0.0" in writes[1]  # the first chunk went out
+        assert len(writes) == 2 and b"0.0" in writes[1]  # the first chunk went out
         assert not out.exists()
         assert os.listdir(tmp_path) == []
 
@@ -1176,5 +823,17 @@ def test_thermal_and_flower_exports_do_not_load_numpy_ma(tmp_path):
         codes = [main([*argv, "--model", "linear", "--J", "1", "--validate",
                        "--out", os.path.join(sys.argv[1], name)]) for argv, name in runs]
         sys.exit(codes != [0, 0] or "numpy.ma" in sys.modules)
+    """
+    assert _fresh_interpreter_exit_code(code, str(tmp_path)) == 0
+
+
+def test_validated_exports_do_not_load_openssl(tmp_path):
+    # hashlib's SHA-256 loads OpenSSL, about 3.4 MB of resident memory
+    code = """if True:
+        import os, sys
+        from quditgeom.cli import main
+        code = main(["map", "--n", "3", "--grid", "4", "--format", "json", "--validate",
+                     "--out", os.path.join(sys.argv[1], "grid.json")])
+        sys.exit(code or "_hashlib" in sys.modules)
     """
     assert _fresh_interpreter_exit_code(code, str(tmp_path)) == 0

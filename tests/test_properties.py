@@ -8,10 +8,7 @@ import csv
 import io
 import json
 import math
-import os
-import tempfile
 from argparse import Namespace
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -33,8 +30,7 @@ from quditgeom import (
     polar_to_p,
     trajectory,
 )
-import quditgeom.cli as cli
-from quditgeom.cli import _CHUNK_CELLS, Dataset, _validate_output, _write_csv, _write_json
+from quditgeom.cli import _CHUNK_CELLS, Dataset, _csv_chunks, _json_chunks, _validate_dataset
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -137,110 +133,21 @@ def test_writers_match_csv_writer_and_json_dumps(dataset):
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(names)
     writer.writerows([repr(x + 0.0) for x in row[:4]] + [repr(row[4]), row[5]] for row in rows)
-    got = io.StringIO()
-    _write_csv(got, dataset)
-    assert got.getvalue() == expected.getvalue()
+    assert "".join(_csv_chunks(dataset)) == expected.getvalue()
 
     payload = {"columns": names, "rows": [
         dict(zip(names, [None if math.isnan(x) else x + 0.0 for x in row[:4]] + list(row[4:])))
         for row in rows
     ]}
-    got = io.StringIO()
-    _write_json(got, dataset)
-    assert got.getvalue() == json.dumps(payload, indent=1) + "\n"
-
-
-#: cell texts put in place of a drawn cell of a JSON export: integers (-0
-#: reads as 0.0 from json but -0.0 from float()), one too large for a float,
-#: null, a non-ASCII digit, an escaped string, nested values and floats in
-#: the writer's own form
-_CELL_EDITS = ["-0", "1", "9" * 400, "null", "0.\u0665", '"\\u00e9\\n"',
-               '[1, {"p1": 2}]', "true", '"1"', "1.0", "-0.0"]
-
-
-def _edit_row(lines: list, start: int, kind: str, name: str, cell: str) -> None:
-    """Apply one edit to the row of a JSON export whose ``{`` is ``lines[start]``."""
-    end = next(k for k in range(start, len(lines)) if lines[k].startswith("  }"))
-    at = next((k for k in range(start, end) if lines[k].startswith(f'   "{name}": ')), None)
-    if kind == "indent":
-        lines[start] = "  \t  {"
-    elif kind == "space":
-        lines[start - 1] = lines[start - 1].replace("}", "} ")
-    elif kind == "cr":
-        lines[start] += "\r"
-    elif at is None:
-        return
-    elif kind == "cell":
-        lines[at] = lines[at][:lines[at].index(": ") + 2] + cell + ("," if at + 1 < end else "")
-    elif kind == "swap" and at + 1 < end:
-        lines[at], lines[at + 1] = lines[at + 1].rstrip(",") + ",", lines[at].rstrip(",")
-        lines[at + 1] += "," if at + 2 < end else ""
-    elif kind == "drop" and at + 1 < end:
-        del lines[at]
-
-
-@st.composite
-def edited_json_exports(draw):
-    """The bytes of a JSON export of a drawn table with p and physical
-    columns, as the writer emits it, with one to three edits, each made to
-    every 5th row from a drawn one on: a cell replaced (``_CELL_EDITS``), a
-    key swapped with the next one or dropped, or whitespace or a CR around
-    the row.  json reads some of them and refuses others."""
-    columns = draw(tables(rows=st.integers(1, 40))).columns
-    dataset = Dataset(columns={
-        "p1": columns["repeated"], "label": columns["label"], "p2": columns["distinct"],
-        "x": columns["sampled"], "count": columns["count"], "physical": columns["count"] % 2,
-    })
-    handle = io.StringIO()
-    _write_json(handle, dataset)
-    lines = handle.getvalue().split("\n")
-    edits = st.tuples(st.sampled_from(["cell", "swap", "drop", "indent", "space", "cr"]),
-                      st.integers(0, 4), st.sampled_from(list(dataset.columns)),
-                      st.sampled_from(_CELL_EDITS))
-    # the edits within rows first, so that the whitespace ones find them in place
-    for kind, first, name, cell in sorted(draw(st.lists(edits, min_size=1, max_size=3)),
-                                          key=lambda edit: edit[0] in ("indent", "space", "cr")):
-        starts = [k for k, line in enumerate(lines) if line == "  {"]
-        for start in reversed(starts[first::5]):
-            _edit_row(lines, start, kind, name, cell)
-    return "\n".join(lines).encode("utf-8")
-
-
-def _read_back(path: str, block: int, layout: bool):
-    """What ``_read_columns`` reads of a JSON file, bit for bit, or its error;
-    with ``layout`` False, as the ``json.load`` path alone reads it."""
-    with mock.patch.object(cli, "_JSON_BLOCK", block), \
-            mock.patch.object(cli, "_read_json_layout",
-                              cli._read_json_layout if layout else lambda handle: None):
-        try:
-            read = cli._read_columns(path, "json")
-        except ValueError as exc:
-            return str(exc)
-    return read and [(column.dtype, column.shape, column.tobytes()) for column in read]
+    assert "".join(_json_chunks(dataset)) == json.dumps(payload, indent=1) + "\n"
 
 
 @SETTINGS
-@given(edited_json_exports())
-def test_the_layout_path_reads_json_as_json_load_does(data):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.json")
-        with open(path, "wb") as handle:
-            handle.write(data)
-        loaded = _read_back(path, cli._JSON_BLOCK, layout=False)
-        for block in (1, 7, cli._JSON_BLOCK):
-            assert _read_back(path, block, layout=True) == loaded
-
-
-@SETTINGS
-@given(near_simplex_boundary(), st.sampled_from(["csv", "json"]))
-def test_validate_flags_a_row_exactly_when_the_point_check_refuses_it(p, fmt):
+@given(near_simplex_boundary())
+def test_validate_flags_a_row_exactly_when_the_point_check_refuses_it(p):
     dataset = Dataset(columns={**{f"p{i}": np.array([x]) for i, x in enumerate(p, start=1)},
                                "physical": np.array([1])})
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, f"row.{fmt}")
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            (_write_csv if fmt == "csv" else _write_json)(handle, dataset)
-        flagged = _validate_output(path, fmt, Namespace(command="map"))
+    flagged = _validate_dataset(dataset, Namespace(command="map"))
     try:
         check_probability_vector(p, tol=1e-9)
     except ValueError:
