@@ -24,9 +24,10 @@ once both are complete (the data file last, and the sidecar removed again
 if that move fails), so a failed run leaves neither new file behind.
 
 ``--validate`` re-checks every physical row of the dataset in memory,
-before it is written, in blocks of rows, and reads the closed temporary
-data file back to prove by its SHA-256 that it holds the bytes written.
-The sidecar records that digest on every run.
+before it is written, in blocks of rows, and reads each chunk of the
+temporary data file back right after writing it, to prove that the file
+holds the bytes written and ends after the last.  The sidecar records the
+SHA-256 of those bytes on every run; each byte is hashed once, as written.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure with zero successful nodes (also used when --validate finds a
@@ -553,32 +554,20 @@ def _sidecar(args, dataset: Dataset, sha256: str) -> dict:
     }
 
 
-#: bytes ``_file_digest`` reads at a time
-_DIGEST_BLOCK = 1 << 16
-
-
-def _file_digest(path: str) -> str:
-    """The SHA-256 hex digest of the file at ``path``, read in fixed blocks."""
-    digest = sha256()
-    with open(path, "rb") as handle:
-        while block := handle.read(_DIGEST_BLOCK):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _write_outputs(path: str, args, dataset: Dataset) -> list:
     """Write the data file and its sidecar atomically; return the
     ``--validate`` problems of the data file, at most one.
 
     Each chunk of text is encoded once, fed to one SHA-256 and written, and
-    the sidecar records the digest.  Under ``--validate`` the closed
-    temporary data file is read back and must hash to the same digest.
-    Both files go to temporary files in the destination directory first
-    and are moved into place with ``os.replace`` only once both are
-    complete, the sidecar first and the data file last; if that last move
-    fails, the sidecar just moved is removed again.  On any error the
-    temporary files are removed and no new file is left at ``path`` or
-    beside it.
+    the sidecar records the digest.  Under ``--validate`` each chunk is read
+    back from the temporary data file right after it is written, with one
+    byte more, and must equal the bytes written: so after the last chunk the
+    file must end there.  The first difference is the one problem.  Both
+    files go to temporary files in the destination directory first and are
+    moved into place with ``os.replace`` only once both are complete, the
+    sidecar first and the data file last; if that last move fails, the
+    sidecar just moved is removed again.  On any error the temporary files
+    are removed and no new file is left at ``path`` or beside it.
     """
     chunks = (_csv_chunks if args.format == "csv" else _json_chunks)(dataset)
     sidecar = path + ".meta.json"
@@ -587,19 +576,23 @@ def _write_outputs(path: str, args, dataset: Dataset) -> list:
     written, problems = [], []
     try:
         digest = sha256()
-        with open(data_temp, "xb") as handle:
+        with open(data_temp, "x+b" if args.validate else "xb") as handle:
             written.append(data_temp)
             for text in chunks:
                 data = text.encode()
                 digest.update(data)
                 handle.write(data)
+                if args.validate and not problems:
+                    # flushed, so the read-back comes from the file, not the buffer
+                    handle.flush()
+                    start = handle.seek(-len(data), os.SEEK_CUR)
+                    if handle.read(len(data) + 1) != data:
+                        problems.append(f"the data file does not hold the {len(data)} "
+                                        f"bytes written at byte {start}")
         payload = _sidecar(args, dataset, digest.hexdigest())
         with open(sidecar_temp, "xb") as handle:
             written.append(sidecar_temp)
             handle.write((json.dumps(payload, indent=1) + "\n").encode())
-        if args.validate and (on_disk := _file_digest(data_temp)) != payload["sha256"]:
-            problems.append(f"the data file hashes to SHA-256 {on_disk}, "
-                            f"not to {payload['sha256']} of the bytes written")
         os.replace(sidecar_temp, sidecar)
         try:
             os.replace(data_temp, path)
@@ -659,8 +652,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output data file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--validate", action="store_true",
-                        help="re-check all physical rows and prove the written file "
-                             "by its SHA-256")
+                        help="re-check all physical rows and read each written chunk "
+                             "back to compare its bytes")
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:

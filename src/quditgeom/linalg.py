@@ -35,14 +35,16 @@ def _polish(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def real_roots_batch(coeffs) -> np.ndarray:
-    """Real roots of each row of ascending ``coeffs`` (N, d+1), d <= 4, as (N, d)
-    rows sorted ascending and padded with NaN.  Top coefficients at most 1e-14
-    of a row's largest in magnitude are dropped."""
+    """Real roots of each row of finite ascending ``coeffs`` (N, d+1), d <= 4,
+    as (N, d) rows sorted ascending and padded with NaN.  Top coefficients at
+    most 1e-14 of a row's largest in magnitude are dropped."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or not 1 <= coeffs.shape[1] <= 5:
         raise ValueError(f"expected coefficient rows of shape (N, d+1) with d <= 4, got {coeffs.shape}")
     magnitude = np.abs(coeffs)
     scale = magnitude.max(axis=1, keepdims=True)
+    if not np.isfinite(scale).all():  # a row's max is NaN or inf with any such entry
+        raise ValueError("polynomial coefficients must be finite")
     if not scale.all():
         raise ValueError("zero polynomial has no isolated roots")
     width = coeffs.shape[1]
@@ -62,8 +64,8 @@ def real_roots_batch(coeffs) -> np.ndarray:
 def real_roots(coeffs) -> np.ndarray:
     """All real roots of a polynomial of degree <= 4, sorted ascending.
 
-    ``coeffs`` are ascending (constant term first); this is a one-row call
-    of :func:`real_roots_batch`.  The contract:
+    ``coeffs`` are finite and ascending (constant term first); this is a
+    one-row call of :func:`real_roots_batch`.  The contract:
 
     * every returned x has ``|p(x)| <= 1e-12 * sum_i |c_i| |x|^i``;
     * a real root r with ``|r - s| >= 1e-2 * max(|r|, |s|)`` for every other

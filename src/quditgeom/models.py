@@ -260,9 +260,9 @@ def separatrix(j, branch: str, g_minus):
     j = _check_spin(j)
     g_minus = np.asarray(g_minus, dtype=float)
     if j == 1.0:
-        magnitude = np.sqrt(4.0 + g_minus**2)
+        magnitude = np.hypot(2.0, g_minus)
     elif j == 1.5:
-        magnitude = np.sqrt(1.0 + g_minus**2)
+        magnitude = np.hypot(1.0, g_minus)
     else:
         raise DimensionError(f"separatrices are defined for J in {{1, 3/2}}, got J = {j:g}")
     if branch == "ground":

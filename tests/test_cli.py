@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from argparse import Namespace
@@ -178,6 +179,39 @@ class TestSidecar:
         assert not (unread | {"out"}) & set(first["config"])
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert first["sha256"] == hashlib.sha256(outs[0].read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["plain", "validate"])
+    @pytest.mark.parametrize("argv", [
+        ["map", "--n", "3", "--grid", "40", "--format", "csv"],
+        ["map", "--n", "4", "--grid", "6", "--format", "json"],
+        ["locus", "--n", "3", "--t3", "0.3", "--samples", "64", "--format", "json"],
+        ["phase-diagram", "--J", "1", "--beta", "1", "--gminus=-3:3:9", "--gplus=-3:3:9"],
+        ["frame", "--n", "5"],
+    ], ids=["map-csv", "map-json", "locus", "phase-diagram", "frame"])
+    def test_each_export_hashes_its_bytes_once(self, tmp_path, monkeypatch, argv, validate):
+        import quditgeom.cli as cli_mod
+
+        fed = []
+
+        class CountingSha256:
+            def __init__(self):
+                self.digest = hashlib.sha256()
+                fed.append(0)
+
+            def update(self, data):
+                fed[-1] += len(data)
+                self.digest.update(data)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+
+        monkeypatch.setattr(cli_mod, "sha256", CountingSha256)
+        out = tmp_path / "table"
+        assert main([*argv, *validate, "--out", str(out)]) == EXIT_OK
+        data = out.read_bytes()
+        assert fed == [len(data)]
+        assert json.loads((tmp_path / "table.meta.json").read_text())["sha256"] == \
+            hashlib.sha256(data).hexdigest()
 
 
 class TestPhaseDiagramCommand:
@@ -488,15 +522,14 @@ class TestErrorPaths:
         assert code == EXIT_NUMERICAL
 
     def test_failed_validate_read_exits_three(self, tmp_path, monkeypatch, capsys):
-        import quditgeom.cli as cli_mod
-
         def unreadable(path):
             raise OSError(5, "Input/output error")
 
-        monkeypatch.setattr(cli_mod, "_file_digest", unreadable)
+        log = _watch_data_file(monkeypatch, before_read=unreadable)
         out = tmp_path / "grid.csv"
         code = main(["map", "--n", "3", "--grid", "4", "--validate", "--out", str(out)])
         assert code == EXIT_IO
+        assert len(log) == 1 and len(log[0]["reads"]) == 1
         assert capsys.readouterr().err == "io-error: [Errno 5] Input/output error\n"
         assert os.listdir(tmp_path) == []
 
@@ -589,6 +622,51 @@ class TestWriters:
         assert np.isnan(formatted).sum() == 3 * 2
 
 
+def _watch_data_file(monkeypatch, before_read=lambda path: None):
+    """Watch the handle of each run's temporary data file.
+
+    ``before_read(path)`` runs before each read of the handle: it may change
+    the file on disk, which holds what the run wrote only if the run flushed
+    it, or raise.  Returns one record per open of a data file: its mode, its
+    number of writes and the size of each read.
+    """
+    import quditgeom.cli as cli_mod
+
+    log = []
+
+    class Watched:
+        def __init__(self, handle, path, record):
+            self.handle, self.path, self.record = handle, path, record
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
+
+        def write(self, data):
+            self.record["writes"] += 1
+            return self.handle.write(data)
+
+        def read(self, size):
+            self.record["reads"].append(size)
+            before_read(self.path)
+            return self.handle.read(size)
+
+    def watched_open(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        if not path.endswith(".tmp") or ".meta.json." in path:
+            return handle
+        log.append({"mode": mode, "writes": 0, "reads": []})
+        return Watched(handle, path, log[-1])
+
+    monkeypatch.setattr(cli_mod, "open", watched_open, raising=False)
+    return log
+
+
 def _dataset_of_rows(rows):
     """A dataset whose p1, p2, p3 and physical columns hold ``rows``."""
     from quditgeom.cli import Dataset
@@ -598,6 +676,9 @@ def _dataset_of_rows(rows):
 
 
 class TestValidate:
+    READ_BACK_PROBLEM = (r"validate: the data file does not hold the (\d+) bytes written "
+                         r"at byte (\d+)\n")
+
     @staticmethod
     def _run(tmp_path, monkeypatch, argv, dataset, fmt):
         """The exit code of ``argv`` exported with ``--validate`` in ``fmt``,
@@ -684,32 +765,73 @@ class TestValidate:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_flipped_byte_on_disk_is_one_problem_and_keeps_files(self, tmp_path, monkeypatch,
                                                                  capsys, fmt):
-        import quditgeom.cli as cli_mod
+        flipped = []
 
-        file_digest, reads = cli_mod._file_digest, []
-
-        def flip_a_byte_then_digest(path):
-            reads.append(path)
+        def flip_byte_40_once(path):
+            # before the read-back of the first chunk that reaches byte 40
             with open(path, "r+b") as handle:
+                if flipped or handle.seek(0, os.SEEK_END) <= 40:
+                    return
                 handle.seek(40)
                 byte = handle.read(1)[0]
                 handle.seek(40)
                 handle.write(bytes([byte ^ 1]))
-            return file_digest(path)
+            flipped.append(path)
 
-        monkeypatch.setattr(cli_mod, "_file_digest", flip_a_byte_then_digest)
+        log = _watch_data_file(monkeypatch, before_read=flip_byte_40_once)
         out = tmp_path / f"grid.{fmt}"
-        argv = ["map", "--n", "3", "--grid", "4", "--format", fmt, "--out", str(out)]
-        assert main(argv) == EXIT_OK
-        assert reads == []  # only --validate reads the file back
-        assert main([*argv, "--validate"]) == EXIT_NUMERICAL
-        assert len(reads) == 1
-        written = json.loads((tmp_path / f"grid.{fmt}.meta.json").read_text())["sha256"]
-        on_disk = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert on_disk != written
-        assert capsys.readouterr().err == (f"validate: the data file hashes to SHA-256 "
-                                           f"{on_disk}, not to {written} of the bytes written\n")
+        assert main(["map", "--n", "3", "--grid", "4", "--format", fmt, "--validate",
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert len(flipped) == 1 and len(log) == 1
+        err = capsys.readouterr().err
+        match = re.fullmatch(self.READ_BACK_PROBLEM, err)
+        size, start = map(int, match.groups())
+        assert start <= 40 < start + size
+        assert log[0]["reads"][-1] == size + 1  # nothing is read after that chunk
         assert sorted(os.listdir(tmp_path)) == [f"grid.{fmt}", f"grid.{fmt}.meta.json"]
+        written = json.loads((tmp_path / f"grid.{fmt}.meta.json").read_text())["sha256"]
+        on_disk = bytearray(out.read_bytes())
+        assert hashlib.sha256(on_disk).hexdigest() != written
+        on_disk[40] ^= 1
+        assert hashlib.sha256(on_disk).hexdigest() == written
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_extra_byte_after_the_last_chunk_is_one_problem(self, tmp_path, monkeypatch,
+                                                            capsys, fmt):
+        argv = ["map", "--n", "3", "--grid", "4", "--format", fmt, "--validate"]
+        log = _watch_data_file(monkeypatch)
+        assert main([*argv, "--out", str(tmp_path / f"clean.{fmt}")]) == EXIT_OK
+        clean = (tmp_path / f"clean.{fmt}").read_bytes()
+        chunks, reads = log[0]["writes"], []
+
+        def append_before_the_last_read(path):
+            reads.append(path)
+            if len(reads) == chunks:
+                with open(path, "ab") as handle:
+                    handle.write(b"\n")
+
+        log = _watch_data_file(monkeypatch, before_read=append_before_the_last_read)
+        out = tmp_path / f"grid.{fmt}"
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+        assert len(log[0]["reads"]) == chunks
+        err = capsys.readouterr().err
+        match = re.fullmatch(self.READ_BACK_PROBLEM, err)
+        assert sum(map(int, match.groups())) == len(clean)  # the last chunk
+        assert out.read_bytes() == clean + b"\n"
+        written = json.loads((tmp_path / f"grid.{fmt}.meta.json").read_text())["sha256"]
+        assert written == hashlib.sha256(clean).hexdigest()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_without_validate_nothing_reads_the_data_file(self, tmp_path, monkeypatch, fmt):
+        log = _watch_data_file(monkeypatch)
+        argv = ["map", "--n", "3", "--grid", "4", "--format", fmt]
+        assert main([*argv, "--out", str(tmp_path / f"grid.{fmt}")]) == EXIT_OK
+        assert main([*argv, "--validate", "--out", str(tmp_path / f"v.{fmt}")]) == EXIT_OK
+        plain, validated = log  # one handle each, nothing else opens the data file
+        assert plain["mode"] == "xb" and plain["reads"] == []  # a write-only handle
+        assert validated["mode"] == "x+b"
+        assert len(validated["reads"]) == validated["writes"] > 1
+        assert (tmp_path / f"grid.{fmt}").read_bytes() == (tmp_path / f"v.{fmt}").read_bytes()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_validate_and_point_apply_one_simplex_rule(self, tmp_path, monkeypatch, capsys,

@@ -63,6 +63,16 @@ def test_real_roots_rejects_bad_input():
         real_roots_batch(np.ones((2, 6)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [[1.0, 2.0, np.inf], [1.0, np.nan], [-np.inf, 0.0, 1.0],
+                                    [0.0, np.nan, 0.0]], ids=["inf", "nan", "-inf", "nan-only"])
+def test_real_roots_rejects_non_finite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+        real_roots(coeffs)
+    with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+        real_roots_batch([np.ones(len(coeffs)), coeffs])  # one bad row refuses the batch
+
+
 def _case_from_roots(rng):
     """A polynomial of degree 1-4 with known roots, some double or complex."""
     degree = int(rng.integers(1, 5))

@@ -140,6 +140,13 @@ class TestSeparatrix:
                 energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
                 assert abs(energies[pair[0]] - energies[pair[1]]) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("j", [1, 1.5])
+    def test_huge_g_minus_does_not_overflow(self, j):
+        g_minus = np.array([1e200, -1e200, 1.5e154])
+        assert np.array_equal(separatrix(j, "ground", g_minus), -np.abs(g_minus))
+        assert np.array_equal(separatrix(j, "excited", g_minus), np.abs(g_minus))
+
     def test_unsupported_spin(self):
         with pytest.raises(DimensionError):
             separatrix(2, "ground", 0.0)

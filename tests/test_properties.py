@@ -1,4 +1,5 @@
-"""Property tests over drawn states, unitaries and spectra.
+"""Property tests over drawn states, unitaries, spectra, dimensions and
+polynomials.
 
 Derandomized with a small example budget: every run checks the same
 examples, and the suite stays a few seconds long.
@@ -28,9 +29,12 @@ from quditgeom import (
     p_to_lambda,
     phase_grid,
     polar_to_p,
+    real_roots,
     trajectory,
 )
+from quditgeom.basis import build_generators, simplex_frame
 from quditgeom.cli import _CHUNK_CELLS, Dataset, _csv_chunks, _json_chunks, _validate_dataset
+from quditgeom.linalg import real_roots_batch
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -238,3 +242,49 @@ def test_phase_grid_rows_match_the_one_point_functions(j, g_minus, g_plus, beta)
         )
         np.testing.assert_allclose(label_ordered_occupations(j, params, beta), grid.p[i],
                                    rtol=0, atol=1e-15)
+
+
+@SETTINGS
+@given(st.integers(2, 8))
+def test_generators_are_traceless_hermitian_and_orthogonal(n):
+    generators = np.array(build_generators(n).all)
+    assert generators.shape == (n * n - 1, n, n)
+    np.testing.assert_allclose(np.trace(generators, axis1=1, axis2=2), 0.0, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(generators, generators.conj().transpose(0, 2, 1))
+    gram = np.einsum("aij,bji->ab", generators, generators)
+    np.testing.assert_allclose(gram, 2.0 * np.eye(n * n - 1), rtol=0, atol=1e-14)
+
+
+@SETTINGS
+@given(st.integers(2, 8))
+def test_simplex_frame_axes_are_orthonormal_zero_sum_diagonals(n):
+    axes = simplex_frame(n).axes
+    assert axes.shape == (n - 1, n)
+    np.testing.assert_allclose(axes @ axes.T, np.eye(n - 1), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(axes.sum(axis=1), 0.0, rtol=0, atol=1e-15)
+    for axis, f_l in zip(axes, build_generators(n).diagonal):
+        np.testing.assert_array_equal(axis, np.diag(f_l).real / math.sqrt(2.0))
+
+
+@st.composite
+def coefficient_rows(draw):
+    """Rows of 1-5 ascending coefficients, nonzero ones of either sign between
+    1e-3 and 1e3 times a per-row power of ten from 1e-20 to 1e20, exact zeros
+    among them (so some rows drop their top coefficients), none all zero."""
+    width = draw(st.integers(1, 5))
+    value = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+    row = st.lists(value, min_size=width, max_size=width).filter(any)
+    rows = np.array(draw(st.lists(row, min_size=1, max_size=8)))
+    exponents = draw(st.lists(st.integers(-20, 20), min_size=len(rows), max_size=len(rows)))
+    return rows * 10.0 ** np.array(exponents, dtype=float)[:, None]
+
+
+@SETTINGS
+@given(coefficient_rows())
+def test_real_roots_batch_rows_are_one_row_calls(coeffs):
+    roots = real_roots_batch(coeffs)
+    assert roots.shape == (len(coeffs), coeffs.shape[1] - 1)
+    for row, found in zip(coeffs, roots):
+        real = found[~np.isnan(found)]
+        np.testing.assert_array_equal(real, real_roots(row))
+        assert np.isnan(found[real.size:]).all()  # the padding follows the roots
