@@ -27,7 +27,8 @@ if that move fails), so a failed run leaves neither new file behind.
 before it is written, in blocks of rows, and reads each chunk of the
 temporary data file back right after writing it, to prove that the file
 holds the bytes written and ends after the last.  The sidecar records the
-SHA-256 of those bytes on every run; each byte is hashed once, as written.
+BLAKE2b-512 digest of those bytes on every run (what ``b2sum`` prints); each
+byte is hashed once, as written.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure with zero successful nodes (also used when --validate finds a
@@ -50,16 +51,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# CPython's own SHA-256 (``_sha2`` from Python 3.12, ``_sha256`` before):
-# ``hashlib`` loads OpenSSL, which adds about 3.4 MB to the resident memory
-# of every run, more than a whole ``--validate`` check holds
-try:
-    from _sha2 import sha256
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:  # a Python built without its own hashes
-        from hashlib import sha256
+# CPython's own BLAKE2b, not ``hashlib``'s: ``hashlib`` loads OpenSSL, which
+# adds about 3.4 MB to the resident memory of every run, more than a whole
+# ``--validate`` check holds.  At its default 64-byte digest the hex digest
+# is what coreutils ``b2sum`` prints.
+from _blake2 import blake2b
 
 from . import __version__
 from .basis import _check_dimension, simplex_frame
@@ -531,7 +527,7 @@ def _unread_options(args) -> set:
     return unread
 
 
-def _sidecar(args, dataset: Dataset, sha256: str) -> dict:
+def _sidecar(args, dataset: Dataset, digest: str) -> dict:
     unread = _unread_options(args)
     config = {
         key: value
@@ -550,7 +546,7 @@ def _sidecar(args, dataset: Dataset, sha256: str) -> dict:
             "failed_nodes": dataset.failed_nodes,
         },
         "discrepancies": dataset.notes,
-        "sha256": sha256,
+        "blake2b": digest,
     }
 
 
@@ -558,16 +554,17 @@ def _write_outputs(path: str, args, dataset: Dataset) -> list:
     """Write the data file and its sidecar atomically; return the
     ``--validate`` problems of the data file, at most one.
 
-    Each chunk of text is encoded once, fed to one SHA-256 and written, and
-    the sidecar records the digest.  Under ``--validate`` each chunk is read
-    back from the temporary data file right after it is written, with one
-    byte more, and must equal the bytes written: so after the last chunk the
-    file must end there.  The first difference is the one problem.  Both
-    files go to temporary files in the destination directory first and are
-    moved into place with ``os.replace`` only once both are complete, the
-    sidecar first and the data file last; if that last move fails, the
-    sidecar just moved is removed again.  On any error the temporary files
-    are removed and no new file is left at ``path`` or beside it.
+    Each chunk of text is encoded once, fed to one BLAKE2b-512 and written,
+    and the sidecar records the digest under ``blake2b``.  Under
+    ``--validate`` each chunk is read back from the temporary data file
+    right after it is written, with one byte more, and must equal the bytes
+    written: so after the last chunk the file must end there.  The first
+    difference is the one problem.  Both files go to temporary files in the
+    destination directory first and are moved into place with
+    ``os.replace`` only once both are complete, the sidecar first and the
+    data file last; if that last move fails, the sidecar just moved is
+    removed again.  On any error the temporary files are removed and no new
+    file is left at ``path`` or beside it.
     """
     chunks = (_csv_chunks if args.format == "csv" else _json_chunks)(dataset)
     sidecar = path + ".meta.json"
@@ -575,7 +572,7 @@ def _write_outputs(path: str, args, dataset: Dataset) -> list:
     data_temp, sidecar_temp = path + suffix, sidecar + suffix
     written, problems = [], []
     try:
-        digest = sha256()
+        digest = blake2b()
         with open(data_temp, "x+b" if args.validate else "xb") as handle:
             written.append(data_temp)
             for text in chunks:
@@ -653,7 +650,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--validate", action="store_true",
                         help="re-check all physical rows and read each written chunk "
-                             "back to compare its bytes")
+                             "back to compare its bytes (every run records the BLAKE2b "
+                             "digest that b2sum prints)")
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:

@@ -7,12 +7,13 @@ examples, and the suite stays a few seconds long.
 
 import csv
 import io
+import itertools
 import json
 import math
 from argparse import Namespace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quditgeom import (
     DEFAULT,
@@ -20,6 +21,8 @@ from quditgeom import (
     Spectrum,
     check_probability_vector,
     classify_region,
+    constant_t2_locus,
+    constant_t3_locus_qutrit,
     endpoint_state,
     gibbs_state,
     invariants,
@@ -27,6 +30,7 @@ from quditgeom import (
     lambda_to_p,
     orbit_classification,
     p_to_lambda,
+    permutation_images,
     phase_grid,
     polar_to_p,
     real_roots,
@@ -34,6 +38,7 @@ from quditgeom import (
 )
 from quditgeom.basis import build_generators, simplex_frame
 from quditgeom.cli import _CHUNK_CELLS, Dataset, _csv_chunks, _json_chunks, _validate_dataset
+from quditgeom.curves import ParamCurve
 from quditgeom.linalg import real_roots_batch
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -288,3 +293,80 @@ def test_real_roots_batch_rows_are_one_row_calls(coeffs):
         real = found[~np.isnan(found)]
         np.testing.assert_array_equal(real, real_roots(row))
         assert np.isnan(found[real.size:]).all()  # the padding follows the roots
+
+
+@st.composite
+def separated_root_polynomials(draw):
+    """Ascending coefficients of degree 1-4 built from drawn real roots and an
+    optional complex pair, any two roots r, s at least 1e-2 * max(|r|, |s|)
+    apart, and the sorted real roots.  The leading coefficient is kept: one
+    at most 1e-14 of the largest is dropped by the documented degree rule."""
+    pair = draw(st.booleans())
+    count = draw(st.integers(0 if pair else 1, 2 if pair else 4))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    sign, magnitude = st.sampled_from([-1.0, 1.0]), st.floats(0.1, 10.0)
+    real = [draw(sign) * draw(magnitude) * scale for _ in range(count)]
+    roots = list(real)
+    if pair:
+        z = complex(draw(st.floats(-10.0, 10.0)), draw(magnitude)) * scale
+        roots += [z, z.conjugate()]
+    assume(all(abs(r - s) >= 1e-2 * max(abs(r), abs(s))
+               for r, s in itertools.combinations(roots, 2)))
+    coeffs = draw(sign) * 10.0 ** draw(st.integers(-5, 5)) * \
+        np.polynomial.polynomial.polyfromroots(roots).real
+    assume(abs(coeffs[-1]) > 1e-14 * np.abs(coeffs).max())
+    return coeffs, np.sort(real)
+
+
+@SETTINGS
+@given(st.lists(separated_root_polynomials(), min_size=1, max_size=6))
+def test_real_roots_batch_returns_each_separated_real_root_once(cases):
+    coeffs = np.zeros((len(cases), 5))  # zero top coefficients lower a row's degree
+    for row, (c, _) in zip(coeffs, cases):
+        row[:c.size] = c
+    for found, (_, real) in zip(real_roots_batch(coeffs), cases):
+        found = found[~np.isnan(found)]
+        assert found.size == real.size  # every real root, and nothing else
+        np.testing.assert_allclose(found, real, rtol=1e-9, atol=0)
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.data())
+def test_permutation_images_permute_the_columns_and_keep_the_invariants(n, data):
+    m = data.draw(st.integers(1, 6))
+    points = np.array([data.draw(probability_vectors(n, n)) for _ in range(m)])
+    physical = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    base = ParamCurve(space="p", points=points, parameter=np.arange(m, dtype=float),
+                      physical=physical)
+    copies = permutation_images(base)
+    perms = [copy.meta["permutation"] for copy in copies]
+    assert perms == sorted(itertools.permutations(range(n)))  # n!, the identity first
+    t = invariants(points)
+    for copy, perm in zip(copies, perms):
+        np.testing.assert_array_equal(copy.points, points[:, list(perm)])
+        np.testing.assert_array_equal(copy.physical, physical)
+        np.testing.assert_allclose(invariants(copy.points), t, rtol=1e-14, atol=0)
+
+
+def _assert_physical_nodes_hit(points, physical, k, target):
+    """Every physical node of a locus lies on the simplex and has t_k = target."""
+    n = points.shape[-1]
+    p = points.reshape(-1, n)[physical.ravel()]
+    check_probability_vector(p)
+    defect = np.abs(invariants(p, validate=False)[:, k - 2] - target)
+    assert (defect <= DEFAULT.invariant_recheck).all(), defect.max()
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]), st.floats(0.0, 1.0))
+def test_constant_purity_loci_hit_their_target_on_the_simplex(n, share):
+    t2 = 1.0 / n + (1.0 - 1.0 / n) * share
+    locus = constant_t2_locus(n, t2, 64, theta_samples=12, phi_samples=24)
+    _assert_physical_nodes_hit(locus.points, locus.physical, 2, t2)
+
+
+@SETTINGS
+@given(st.floats(1.0 / 9.0, 1.0))
+def test_qutrit_t3_locus_hits_its_target_on_the_simplex(t3):
+    locus = constant_t3_locus_qutrit(t3, 64)
+    _assert_physical_nodes_hit(locus.points, locus.physical, 3, t3)
