@@ -518,12 +518,15 @@ def _json_chunks(dataset: Dataset):
 def _unread_options(args) -> set:
     """The options of ``args`` that the run does not read: the output path,
     which differs between runs of one configuration, the sample counts of
-    the locus kind not built and ``--grid`` beside ``--point``."""
+    the locus kind not built, ``--grid`` beside ``--point`` and the LMG
+    couplings of a linear model."""
     unread = {"out"}
     if args.command == "locus":
         unread |= {"theta_samples", "phi_samples"} if args.n == 3 else {"samples"}
     elif args.command == "map" and args.point:
         unread.add("grid")
+    elif getattr(args, "model", None) == "linear":
+        unread |= {"gx", "gy", "gminus_val", "gplus_val"}
     return unread
 
 

@@ -65,7 +65,10 @@ def real_roots(coeffs) -> np.ndarray:
     """All real roots of a polynomial of degree <= 4, sorted ascending.
 
     ``coeffs`` are finite and ascending (constant term first); this is a
-    one-row call of :func:`real_roots_batch`.  The contract:
+    one-row call of :func:`real_roots_batch`.  Top coefficients at most
+    1e-14 of the largest in magnitude are dropped before solving, so the
+    degree can be lower than ``len(coeffs) - 1``, and the contract holds
+    for the polynomial that remains:
 
     * every returned x has ``|p(x)| <= 1e-12 * sum_i |c_i| |x|^i``;
     * a real root r with ``|r - s| >= 1e-2 * max(|r|, |s|)`` for every other

@@ -14,14 +14,14 @@ as the couplings vary split the ``(g_minus, g_plus)`` plane into three
 regions with fixed energy ordering, separated by the curves where the
 ground pair (or the top pair) becomes degenerate.
 
-Phase sweeps run as one batched kernel, :func:`phase_grid`: the closed
-forms, the stable level ordering, the degeneracy test and the Gibbs
-occupations all broadcast over the whole coupling grid, whose nodes come
-out in row-major order (first grid outer).  The lambda and t images of
+The thermal phase diagram is one batched kernel, :func:`phase_grid`: the
+closed forms, the stable level ordering, the degeneracy test and the
+Gibbs occupations all broadcast over the whole coupling grid, whose nodes
+come out in row-major order (first grid outer).  The lambda and t images of
 the occupations are derived from them on first access, in one call each
 over the whole grid.
-:func:`classify_region`, :func:`label_ordered_occupations` and the
-analytic branch of :func:`lmg_spectrum` call the same helpers on one row.
+:func:`classify_region`, :func:`label_ordered_occupations` and
+:func:`lmg_spectrum` (for J = 1 and J = 3/2) call the same helpers on one row.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "AngularMomentum",
     "LMGParams",
     "PhaseRegion",
-    "PhasePoint",
     "PhaseGrid",
     "angular_momentum",
     "linear_spectrum",
@@ -50,7 +49,6 @@ __all__ = [
     "classify_region",
     "label_ordered_occupations",
     "phase_grid",
-    "phase_sweep",
 ]
 
 
@@ -120,17 +118,6 @@ class PhaseRegion:
     energy_order: tuple
     probability_order: tuple
     degenerate_pairs: tuple = ()
-
-
-@dataclass(frozen=True, eq=False)
-class PhasePoint:
-    """One coupling-grid node of a thermal phase sweep."""
-
-    params: LMGParams
-    p: np.ndarray
-    lam: np.ndarray
-    t: np.ndarray
-    region: PhaseRegion
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,26 +215,19 @@ def _lmg_labeled_energies(j: float, omega, g_plus, g_minus) -> np.ndarray:
     return energies
 
 
-def lmg_spectrum(j, params: LMGParams, *, method: str = "auto") -> Spectrum:
-    """LMG spectrum, analytic for J in {1, 3/2} and numeric otherwise.
+def lmg_spectrum(j, params: LMGParams) -> Spectrum:
+    """LMG spectrum, from the closed forms for J in {1, 3/2} and numeric otherwise.
 
-    The analytic branch sorts the closed-form levels ascending, breaking
-    ties by label order, and records the labels; the numeric branch
+    For J = 1 and J = 3/2 the closed-form levels are sorted ascending,
+    ties broken by label order, and the labels are recorded; every other J
     diagonalizes the Hamiltonian with ``np.linalg.eigvalsh``.
     """
     j = _check_spin(j)
-    if method not in ("auto", "analytic", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "analytic" if j in (1.0, 1.5) else "numeric"
-    if method == "analytic":
-        energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
-        order = np.argsort(energies, kind="stable")
-        return Spectrum(
-            energies=energies[order],
-            labels=tuple(f"E{i + 1}" for i in order),
-        )
-    return Spectrum(energies=np.linalg.eigvalsh(lmg_hamiltonian(j, params)))
+    if j not in (1.0, 1.5):
+        return Spectrum(energies=np.linalg.eigvalsh(lmg_hamiltonian(j, params)))
+    energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
+    order = np.argsort(energies, kind="stable")
+    return Spectrum(energies=energies[order], labels=tuple(f"E{i + 1}" for i in order))
 
 
 def separatrix(j, branch: str, g_minus):
@@ -310,15 +290,6 @@ def _label_pairs(n: int) -> tuple:
     return tuple((int(a) + 1, int(b) + 1) for a, b in zip(*np.triu_indices(n, 1)))
 
 
-def _phase_region(region_id: str, order: tuple, degenerate, pairs: tuple) -> PhaseRegion:
-    return PhaseRegion(
-        region_id=region_id,
-        energy_order=order,
-        probability_order=order,
-        degenerate_pairs=tuple(pair for pair, hit in zip(pairs, degenerate) if hit),
-    )
-
-
 def classify_region(j, params: LMGParams) -> PhaseRegion:
     """Phase region of an LMG coupling point from its energy ordering.
 
@@ -333,8 +304,14 @@ def classify_region(j, params: LMGParams) -> PhaseRegion:
     energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)[None]
     order = np.argsort(energies, axis=-1, kind="stable")
     degenerate, region = _classify(j, energies, order)
-    return _phase_region(str(region[0]), tuple((order[0] + 1).tolist()), degenerate[0],
-                         _label_pairs(energies.shape[-1]))
+    labels = tuple((order[0] + 1).tolist())
+    pairs = _label_pairs(energies.shape[-1])
+    return PhaseRegion(
+        region_id=str(region[0]),
+        energy_order=labels,
+        probability_order=labels,
+        degenerate_pairs=tuple(pair for pair, hit in zip(pairs, degenerate[0]) if hit),
+    )
 
 
 def label_ordered_occupations(j, params: LMGParams, beta: float) -> np.ndarray:
@@ -356,11 +333,16 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
                *, coords: str = "gpm") -> PhaseGrid:
     """Thermal states and regions over a rectangular coupling grid, as columns.
 
-    The batched form of :func:`phase_sweep`, with the same arguments and
-    checks: the closed forms are evaluated once per node, the levels are
-    sorted with one stable argsort, and the occupations of the whole grid
-    are validated once.  Their lambda and t images are derived from them
-    on first access, by one :func:`p_to_lambda` and one :func:`invariants`
+    ``coords="gpm"`` reads the two grids as (g_minus, g_plus) values,
+    ``coords="gxy"`` as (g_x, g_y); the rows run over the grid in row-major
+    order (first grid outer).  Occupations are reported in fixed label
+    order (see :func:`label_ordered_occupations`), so at large beta region
+    I approaches the first vertex and regions II/III the second.
+
+    The closed forms are evaluated once per node, the levels are sorted
+    with one stable argsort, and the occupations of the whole grid are
+    validated once.  Their lambda and t images are derived from them on
+    first access, by one :func:`p_to_lambda` and one :func:`invariants`
     call over the whole grid.
     """
     j = _check_spin(j)
@@ -396,29 +378,3 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
         p=p,
     )
 
-
-def phase_sweep(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
-                *, coords: str = "gpm") -> list:
-    """Thermal states over a rectangular coupling grid, tagged by region.
-
-    Occupations are reported in fixed label order (see
-    :func:`label_ordered_occupations`), so at large beta region I
-    approaches the first vertex and regions II/III the second.
-    ``coords="gpm"`` reads the two grids as (g_minus, g_plus) values,
-    ``coords="gxy"`` as (g_x, g_y).  The grid is traversed row-major
-    (first grid outer), giving a deterministic output order.  This is a
-    list of :class:`PhasePoint` records over the columns of
-    :func:`phase_grid`.
-    """
-    grid = phase_grid(j, g_minus_grid, g_plus_grid, beta, omega, coords=coords)
-    # regions are immutable and repeat across the grid: build each one once
-    keys = list(zip(grid.region.tolist(), map(tuple, grid.order.tolist()),
-                    map(tuple, grid.degenerate.tolist())))
-    regions = {key: _phase_region(*key, grid.pairs) for key in set(keys)}
-    return [
-        PhasePoint(params=LMGParams(omega=omega, g_x=g_x, g_y=g_y), p=p, lam=lam, t=t,
-                   region=regions[key])
-        for g_x, g_y, p, lam, t, key in zip(
-            grid.g_x.tolist(), grid.g_y.tolist(), grid.p, grid.lam, grid.t, keys
-        )
-    ]

@@ -111,7 +111,7 @@ def test_c05_lmg_oracle_equivalence():
     for j in (1, 1.5):
         for gx, gy in couplings:
             params = LMGParams(omega=1.0, g_x=gx, g_y=gy)
-            analytic = lmg_spectrum(j, params, method="analytic").energies
+            analytic = lmg_spectrum(j, params).energies
             numeric = np.linalg.eigvalsh(lmg_hamiltonian(j, params))
             tol = 1e-10 * max(1.0, abs(gx), abs(gy))
             deviation = np.abs(analytic - numeric).max()

@@ -166,7 +166,12 @@ class TestSidecar:
          {"samples"}),
         (["map", "--n", "3", "--point", "0.5,0.25,0.25"], {"grid"}),
         (["thermal", "--model", "linear", "--J", "1", "--beta-grid", "lin:0:1:3"], set()),
-    ], ids=["locus-n3", "locus-n4", "map-point", "thermal"])
+        (["thermal", "--model", "linear", "--J", "1", "--gx", "3", "--gminus", "2",
+          "--beta-grid", "0,1"], {"gx", "gminus_val"}),
+        (["flower", "--model", "linear", "--J", "1", "--gy", "1", "--gplus", "2",
+          "--beta-grid", "0,1"], {"gy", "gplus_val"}),
+    ], ids=["locus-n3", "locus-n4", "map-point", "thermal", "thermal-linear-couplings",
+            "flower-linear-couplings"])
     def test_runs_into_two_directories_write_equal_sidecars(self, tmp_path, argv, unread):
         outs = []
         for name in ("a", "b"):

@@ -46,6 +46,16 @@ def test_real_roots_degenerate_leading_coefficient():
     np.testing.assert_allclose(real_roots(coeffs), [-2.0, 0.5, 1.5], atol=1e-8)
 
 
+def test_real_roots_drops_top_coefficients_below_the_degree_rule():
+    # the monic quartic with roots 1613.39, 8343.14 and 303.2 +- 4628.5i has a
+    # leading coefficient 3.5e-15 of its constant term: it is solved as the
+    # cubic that remains, and the contract holds for that cubic
+    roots = [1613.39, 8343.14, 303.2 + 4628.5j, 303.2 - 4628.5j]
+    coeffs = np.polynomial.polynomial.polyfromroots(roots).real
+    assert coeffs[-1] == 1.0 and coeffs[-1] <= 1e-14 * np.abs(coeffs).max()
+    np.testing.assert_array_equal(real_roots(coeffs), real_roots(coeffs[:-1]))
+
+
 def test_real_roots_biquadratic():
     # x^4 - 5x^2 + 4 = (x^2-1)(x^2-4)
     coeffs = np.array([4.0, 0.0, -5.0, 0.0, 1.0])

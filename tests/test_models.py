@@ -6,6 +6,7 @@ import pytest
 from quditgeom import (
     DimensionError,
     LMGParams,
+    Spectrum,
     angular_momentum,
     classify_region,
     direction_hamiltonian,
@@ -14,8 +15,8 @@ from quditgeom import (
     lmg_hamiltonian,
     invariants,
     lmg_spectrum,
+    p_to_lambda,
     phase_grid,
-    phase_sweep,
     separatrix,
 )
 
@@ -95,8 +96,8 @@ class TestLMGSpectrum:
         for _ in range(500):
             gx, gy = rng.uniform(-6, 6, 2)
             params = LMGParams(omega=1.0, g_x=gx, g_y=gy)
-            analytic = lmg_spectrum(j, params, method="analytic").energies
-            numeric = lmg_spectrum(j, params, method="numeric").energies
+            analytic = lmg_spectrum(j, params).energies
+            numeric = np.linalg.eigvalsh(lmg_hamiltonian(j, params))
             tol = 1e-10 * max(1.0, abs(gx), abs(gy))
             assert np.abs(analytic - numeric).max() < tol
 
@@ -106,10 +107,6 @@ class TestLMGSpectrum:
         np.testing.assert_allclose(
             spec.energies, np.linalg.eigvalsh(lmg_hamiltonian(2, params)), atol=1e-10
         )
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            lmg_spectrum(1, LMGParams(omega=1.0), method="bogus")
 
     def test_labels_follow_sorted_levels(self):
         spec = lmg_spectrum(1, LMGParams(omega=1.0, g_x=0.0, g_y=0.0))
@@ -216,45 +213,44 @@ class TestClassifyRegion:
 
 class TestPhaseSweep:
     def test_beta_zero_coalesces_to_center(self):
-        points = phase_sweep(1, np.linspace(-2, 2, 3), np.linspace(-2, 2, 3), beta=0.0)
-        assert len(points) == 9
-        for point in points:
-            np.testing.assert_allclose(point.p, np.full(3, 1 / 3), atol=1e-14)
+        grid = phase_grid(1, np.linspace(-2, 2, 3), np.linspace(-2, 2, 3), beta=0.0)
+        assert len(grid) == 9
+        np.testing.assert_allclose(grid.p, np.full((9, 3), 1 / 3), atol=1e-14)
 
     def test_large_beta_region_one_reaches_vertex(self):
-        points = phase_sweep(1, [0.0], [-5.0], beta=200.0)
-        np.testing.assert_allclose(points[0].p, [1, 0, 0], atol=1e-12)
-        assert points[0].region.region_id == "I"
+        grid = phase_grid(1, [0.0], [-5.0], beta=200.0)
+        np.testing.assert_allclose(grid.p[0], [1, 0, 0], atol=1e-12)
+        assert grid.region[0] == "I"
 
     def test_large_beta_regions_two_and_three_reach_second_vertex(self):
         # labels stay fixed, so the second level is the ground state there
-        for gp in (0.0, 5.0):
-            points = phase_sweep(1, [0.0], [gp], beta=200.0)
-            np.testing.assert_allclose(points[0].p, [0, 1, 0], atol=1e-12)
+        grid = phase_grid(1, [0.0], [0.0, 5.0], beta=200.0)
+        np.testing.assert_allclose(grid.p, [[0, 1, 0], [0, 1, 0]], atol=1e-12)
 
     def test_region_two_orders_occupations_by_label(self):
-        point = phase_sweep(1, [0.0], [0.0], beta=0.5)[0]
-        assert point.region.region_id == "II"
-        assert point.p[1] > point.p[0] > point.p[2]
-        order = tuple(int(i) + 1 for i in np.argsort(-point.p))
-        assert order == point.region.probability_order
+        grid = phase_grid(1, [0.0], [0.0], beta=0.5)
+        p = grid.p[0]
+        assert grid.region[0] == "II"
+        assert p[1] > p[0] > p[2]
+        order = tuple(int(i) + 1 for i in np.argsort(-p))
+        assert order == tuple(grid.order[0])  # most occupied first is lowest energy first
 
     def test_large_beta_on_ground_separatrix_reaches_midpoint(self):
         gp = float(separatrix(1, "ground", 0.0))
-        points = phase_sweep(1, [0.0], [gp], beta=200.0)
-        np.testing.assert_allclose(points[0].p, [0.5, 0.5, 0.0], atol=1e-12)
-        assert points[0].region.region_id == "boundary"
+        grid = phase_grid(1, [0.0], [gp], beta=200.0)
+        np.testing.assert_allclose(grid.p[0], [0.5, 0.5, 0.0], atol=1e-12)
+        assert grid.region[0] == "boundary"
 
     def test_gxy_coordinates_accepted(self):
-        by_pm = phase_sweep(1, [1.0], [3.0], beta=0.5, coords="gpm")[0]
-        by_xy = phase_sweep(1, [2.0], [1.0], beta=0.5, coords="gxy")[0]
+        by_pm = phase_grid(1, [1.0], [3.0], beta=0.5, coords="gpm")
+        by_xy = phase_grid(1, [2.0], [1.0], beta=0.5, coords="gxy")
         np.testing.assert_allclose(by_pm.p, by_xy.p, atol=1e-15)
-        assert by_pm.params.g_x == pytest.approx(2.0)
-        assert by_pm.params.g_y == pytest.approx(1.0)
+        assert by_pm.g_x[0] == pytest.approx(2.0)
+        assert by_pm.g_y[0] == pytest.approx(1.0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            phase_sweep(1, [], [0.0], beta=1.0)
+            phase_grid(1, [], [0.0], beta=1.0)
 
 
 class TestPhaseGrid:
@@ -282,7 +278,7 @@ class TestPhaseGrid:
         grid = phase_grid(j, self.GRID, self.GRID, beta=beta, omega=1.3, coords=coords)
         for i in range(len(grid)):
             params = LMGParams(omega=1.3, g_x=grid.g_x[i], g_y=grid.g_y[i])
-            state = gibbs_state(lmg_spectrum(j, params, method="numeric"), beta)
+            state = gibbs_state(Spectrum(np.linalg.eigvalsh(lmg_hamiltonian(j, params))), beta)
             np.testing.assert_allclose(np.sort(grid.p[i])[::-1], state.p, rtol=0, atol=1e-12)
             np.testing.assert_allclose(grid.t[i], invariants(state.p), rtol=0, atol=1e-12)
 
@@ -290,11 +286,9 @@ class TestPhaseGrid:
         grid = phase_grid(1, [1.0, 2.0], [3.0, 4.0, 5.0], beta=0.5)
         np.testing.assert_array_equal(grid.g_minus, [1, 1, 1, 2, 2, 2])
         np.testing.assert_array_equal(grid.g_plus, [3, 4, 5, 3, 4, 5])
-        points = phase_sweep(1, [1.0, 2.0], [3.0, 4.0, 5.0], beta=0.5)
-        for i, point in enumerate(points):
-            assert point.params.g_minus == grid.g_minus[i]
-            assert point.region.region_id == grid.region[i]
-            np.testing.assert_array_equal(point.lam, grid.lam[i])
+        np.testing.assert_array_equal(grid.g_x, (grid.g_plus + grid.g_minus) / 2)
+        np.testing.assert_array_equal(grid.g_y, (grid.g_plus - grid.g_minus) / 2)
+        np.testing.assert_array_equal(grid.lam, p_to_lambda(grid.p))
 
     @pytest.mark.parametrize("change", [
         {"g_minus_grid": [0.0, math.nan]},
@@ -314,7 +308,7 @@ class TestPhaseGrid:
         kwargs = {"j": 1.5, "g_minus_grid": [0.0, 1.0], "g_plus_grid": [0.5], "beta": 1.0,
                   "coords": coords, **change}
         with pytest.raises(ValueError):
-            phase_sweep(**kwargs)
+            phase_grid(**kwargs)
 
 
 def test_lmg_params_validation():

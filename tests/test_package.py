@@ -15,10 +15,10 @@ PUBLIC_NAMES = {
     "invariants", "t_vertices", "polar_to_p", "positivity_check", "orbit_classification",
     "Spectrum", "ThermalState", "ThermalTrajectory", "gibbs_state", "endpoint_state",
     "trajectory", "default_beta_grid",
-    "AngularMomentum", "LMGParams", "PhaseRegion", "PhasePoint", "PhaseGrid",
+    "AngularMomentum", "LMGParams", "PhaseRegion", "PhaseGrid",
     "angular_momentum", "linear_spectrum", "direction_hamiltonian",
     "label_ordered_occupations", "lmg_hamiltonian", "lmg_spectrum", "separatrix",
-    "classify_region", "phase_grid", "phase_sweep",
+    "classify_region", "phase_grid",
     "ParamCurve", "SurfaceMesh", "simplex_edges", "simplex_medians", "constant_t2_locus",
     "qutrit_t3_radius", "constant_t3_locus_qutrit", "constant_invariant_surface_ququart",
     "t_space_boundary_qutrit", "lambda_segment_images", "permutation_images",
@@ -27,7 +27,7 @@ EXPORTING = (basis, curves, linalg, models, representations, thermal)
 
 
 def test_package_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 55
     assert len(quditgeom.__all__) == len(set(quditgeom.__all__))
     assert set(quditgeom.__all__) == PUBLIC_NAMES
     assert not hasattr(quditgeom, "real_roots_batch")
@@ -65,7 +65,7 @@ RECORDS = {
     "ThermalState": lambda: quditgeom.gibbs_state(quditgeom.Spectrum([0.0, 1.0]), 1.0),
     "ThermalTrajectory": lambda: quditgeom.trajectory(quditgeom.Spectrum([0.0, 1.0]), [0.0, 1.0]),
     "AngularMomentum": lambda: quditgeom.angular_momentum(1),
-    "PhasePoint": lambda: quditgeom.phase_sweep(1, [0.0], [0.0], 1.0)[0],
+    "PhaseGrid": lambda: quditgeom.phase_grid(1, [0.0], [0.0], 1.0),
 }
 
 

@@ -21,6 +21,7 @@ from quditgeom import (
     Spectrum,
     check_probability_vector,
     classify_region,
+    constant_invariant_surface_ququart,
     constant_t2_locus,
     constant_t3_locus_qutrit,
     endpoint_state,
@@ -370,3 +371,44 @@ def test_constant_purity_loci_hit_their_target_on_the_simplex(n, share):
 def test_qutrit_t3_locus_hits_its_target_on_the_simplex(t3):
     locus = constant_t3_locus_qutrit(t3, 64)
     _assert_physical_nodes_hit(locus.points, locus.physical, 3, t3)
+
+
+@SETTINGS
+@given(st.sampled_from(["t3", "t4"]), st.floats(0.0, 1.0))
+def test_ququart_invariant_surfaces_hit_their_target_on_the_simplex(which, share):
+    k = int(which[1])
+    value = 4.0 ** (1 - k) + (1.0 - 4.0 ** (1 - k)) * share
+    mesh = constant_invariant_surface_ququart(which, value, theta_samples=9, phi_samples=13)
+    _assert_physical_nodes_hit(mesh.points, mesh.physical, k, value)
+
+
+@SETTINGS
+@given(st.sampled_from(["qutrit t3", "ququart t3", "ququart t4"]), st.floats(0.0, 1.0))
+def test_masked_nodes_have_no_root_up_to_the_radius_bound(locus, share):
+    """Along the ray of each masked node, t_k - target keeps one nonzero sign
+    at 4,096 radii from 0 to the radius bound.
+
+    That is the node's radius polynomial, evaluated as the power sum
+    ``t_k = sum_j p_j^k`` rather than from its coefficients: it has no sign
+    change, so no bracketed root, on the radius range.  Bracketing cannot
+    see a tangent double root: the polynomial may touch zero unseen between
+    two radii.
+    """
+    n, k = (3, 3) if locus == "qutrit t3" else (4, int(locus[-1]))
+    value = float(n) ** (1 - k) + (1.0 - float(n) ** (1 - k)) * share
+    if n == 3:
+        curve = constant_t3_locus_qutrit(value, 64)
+        offset = curve.meta["frame_angle_offset"]
+        angles = [(a + offset,) for a in curve.parameter[np.isnan(curve.radius)]]
+        top = math.sqrt(2.0 / 3.0)  # the Euclidean radius bound
+    else:
+        mesh = constant_invariant_surface_ququart(locus[-2:], value, theta_samples=9,
+                                                  phi_samples=13)
+        masked = np.isnan(mesh.radius)
+        angles = list(zip(mesh.v[masked], mesh.u[masked]))  # (phi, theta)
+        top = math.sqrt(3.0 / 2.0) / math.sqrt(2.0)  # the Bloch bound, on the Bloch scale
+    # polar_to_p at Bloch radius sqrt(2) places p_e + d, d the unit direction
+    directions = np.array([polar_to_p(n, math.sqrt(2.0), a).p - 1.0 / n for a in angles])
+    s = np.linspace(0.0, top, 4096)
+    f = ((1.0 / n + s[:, None, None] * directions.reshape(-1, n)) ** k).sum(axis=-1) - value
+    assert (f * f[0] > 0).all()
