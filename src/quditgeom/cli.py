@@ -23,16 +23,16 @@ in the destination directory, moved into place with ``os.replace`` only
 once both are complete (the data file last, and the sidecar removed again
 if that move fails), so a failed run leaves neither new file behind.
 
-``--validate`` re-checks every physical row of the dataset in memory,
+Every export re-checks every physical row of the dataset in memory,
 before it is written, in blocks of rows, and reads each chunk of the
 temporary data file back right after writing it, to prove that the file
 holds the bytes written and ends after the last.  The sidecar records the
-BLAKE2b-512 digest of those bytes on every run (what ``b2sum`` prints); each
-byte is hashed once, as written.
+BLAKE2b-512 digest of those bytes (what ``b2sum`` prints); each byte is
+hashed once, as written.  ``--validate`` is still accepted and has no
+effect.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure with zero successful nodes (also used when --validate finds a
-violation).
+failure with zero successful nodes, or a row or file that fails its check.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 # CPython's own BLAKE2b, not ``hashlib``'s: ``hashlib`` loads OpenSSL, which
 # adds about 3.4 MB to the resident memory of every run, more than a whole
-# ``--validate`` check holds.  At its default 64-byte digest the hex digest
+# row check holds.  At its default 64-byte digest the hex digest
 # is what coreutils ``b2sum`` prints.
 from _blake2 import blake2b
 
@@ -81,7 +81,7 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 #: slack on simplex membership for p given as text (``--point`` values) and
-#: for the rows ``--validate`` re-checks, which a file holds as text:
+#: for the rows every export re-checks, which a file holds as text:
 #: decimals typed or rounded by hand, such as 0.333333333 for 1/3, miss the
 #: simplex by more than ``DEFAULT.simplex``
 _TEXT_SIMPLEX_SLACK = 1e-9
@@ -423,8 +423,8 @@ _BUILDERS = {
 #: one chunk of cell strings is ever held.  A float column longer than this
 #: whose values are at most half distinct also keeps the text of each
 #: distinct value, in one numpy array of 24-character strings, and formats
-#: them this many at a time (see ``_column_cells``).  ``--validate``
-#: re-checks this many rows at a time
+#: them this many at a time (see ``_column_cells``).  The row check takes
+#: this many rows at a time
 _CHUNK_CELLS = 2048
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -517,10 +517,10 @@ def _json_chunks(dataset: Dataset):
 
 def _unread_options(args) -> set:
     """The options of ``args`` that the run does not read: the output path,
-    which differs between runs of one configuration, the sample counts of
-    the locus kind not built, ``--grid`` beside ``--point`` and the LMG
-    couplings of a linear model."""
-    unread = {"out"}
+    which differs between runs of one configuration, ``--validate``, which
+    has no effect, the sample counts of the locus kind not built, ``--grid``
+    beside ``--point`` and the LMG couplings of a linear model."""
+    unread = {"out", "validate"}
     if args.command == "locus":
         unread |= {"theta_samples", "phi_samples"} if args.n == 3 else {"samples"}
     elif args.command == "map" and args.point:
@@ -554,20 +554,19 @@ def _sidecar(args, dataset: Dataset, digest: str) -> dict:
 
 
 def _write_outputs(path: str, args, dataset: Dataset) -> list:
-    """Write the data file and its sidecar atomically; return the
-    ``--validate`` problems of the data file, at most one.
+    """Write the data file and its sidecar atomically; return the problems
+    of the data file, at most one.
 
-    Each chunk of text is encoded once, fed to one BLAKE2b-512 and written,
-    and the sidecar records the digest under ``blake2b``.  Under
-    ``--validate`` each chunk is read back from the temporary data file
-    right after it is written, with one byte more, and must equal the bytes
-    written: so after the last chunk the file must end there.  The first
-    difference is the one problem.  Both files go to temporary files in the
-    destination directory first and are moved into place with
-    ``os.replace`` only once both are complete, the sidecar first and the
-    data file last; if that last move fails, the sidecar just moved is
-    removed again.  On any error the temporary files are removed and no new
-    file is left at ``path`` or beside it.
+    Each chunk of text is encoded once, fed to one BLAKE2b-512, written,
+    and read back from the temporary data file right after it is written,
+    with one byte more: it must equal the bytes written, so after the last
+    chunk the file must end there.  The first difference is the one
+    problem.  The sidecar records the digest under ``blake2b``.  Both files
+    go to temporary files in the destination directory first and are moved
+    into place with ``os.replace`` only once both are complete, the sidecar
+    first and the data file last; if that last move fails, the sidecar just
+    moved is removed again.  On any error the temporary files are removed
+    and no new file is left at ``path`` or beside it.
     """
     chunks = (_csv_chunks if args.format == "csv" else _json_chunks)(dataset)
     sidecar = path + ".meta.json"
@@ -576,13 +575,13 @@ def _write_outputs(path: str, args, dataset: Dataset) -> list:
     written, problems = [], []
     try:
         digest = blake2b()
-        with open(data_temp, "x+b" if args.validate else "xb") as handle:
+        with open(data_temp, "x+b") as handle:
             written.append(data_temp)
             for text in chunks:
                 data = text.encode()
                 digest.update(data)
                 handle.write(data)
-                if args.validate and not problems:
+                if not problems:
                     # flushed, so the read-back comes from the file, not the buffer
                     handle.flush()
                     start = handle.seek(-len(data), os.SEEK_CUR)
@@ -652,9 +651,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output data file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--validate", action="store_true",
-                        help="re-check all physical rows and read each written chunk "
-                             "back to compare its bytes (every run records the BLAKE2b "
-                             "digest that b2sum prints)")
+                        help="no effect: every run re-checks all physical rows and reads "
+                             "each written chunk back to compare its bytes")
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
@@ -748,8 +746,7 @@ def main(argv=None) -> int:
         if failed and failed == rows:
             print("numerical-failure: no node produced a finite result", file=sys.stderr)
             return EXIT_NUMERICAL
-        problems = _validate_dataset(dataset, args) if args.validate else []
-        problems += _write_outputs(args.out, args, dataset)
+        problems = _validate_dataset(dataset, args) + _write_outputs(args.out, args, dataset)
         if failed:
             print(f"note: {failed} of {rows} nodes had no admissible solution and were masked",
                   file=sys.stderr)

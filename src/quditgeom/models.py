@@ -168,21 +168,37 @@ def linear_spectrum(j, omega: float = 1.0) -> Spectrum:
     return Spectrum(energies=omega * m, labels=tuple(f"M={mm:g}" for mm in m))
 
 
+def _finite_matrix(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, refused with a ``ValueError`` if an entry is not finite:
+    its entries are energies, as the closed forms' levels are."""
+    if not np.isfinite(matrix).all():
+        raise ValueError("energies must be finite")
+    return matrix
+
+
 def direction_hamiltonian(j, omega: float, theta: float, phi: float) -> np.ndarray:
-    """``omega * n.J`` for the unit direction given by polar angles."""
+    """``omega * n.J`` for the unit direction given by polar angles.
+
+    Raises ``ValueError("energies must be finite")`` when an entry overflows.
+    """
     am = angular_momentum(j)
     nx = math.sin(theta) * math.cos(phi)
     ny = math.sin(theta) * math.sin(phi)
     nz = math.cos(theta)
-    return omega * (nx * am.jx + ny * am.jy + nz * am.jz)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused
+        return _finite_matrix(omega * (nx * am.jx + ny * am.jy + nz * am.jz))
 
 
 def lmg_hamiltonian(j, params: LMGParams) -> np.ndarray:
-    """``2*omega*(Jz + g_x Jx^2 + g_y Jy^2)`` as a dense Hermitian matrix."""
+    """``2*omega*(Jz + g_x Jx^2 + g_y Jy^2)`` as a dense Hermitian matrix.
+
+    Raises ``ValueError("energies must be finite")`` when an entry overflows.
+    """
     am = angular_momentum(j)
-    return 2.0 * params.omega * (
-        am.jz + params.g_x * (am.jx @ am.jx) + params.g_y * (am.jy @ am.jy)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused
+        return _finite_matrix(2.0 * params.omega * (
+            am.jz + params.g_x * (am.jx @ am.jx) + params.g_y * (am.jy @ am.jy)
+        ))
 
 
 def _lmg_labeled_energies(j: float, omega, g_plus, g_minus) -> np.ndarray:
@@ -220,7 +236,9 @@ def lmg_spectrum(j, params: LMGParams) -> Spectrum:
 
     For J = 1 and J = 3/2 the closed-form levels are sorted ascending,
     ties broken by label order, and the labels are recorded; every other J
-    diagonalizes the Hamiltonian with ``np.linalg.eigvalsh``.
+    diagonalizes the Hamiltonian with ``np.linalg.eigvalsh``.  Either path
+    raises ``ValueError("energies must be finite")`` when a level or a
+    Hamiltonian entry overflows.
     """
     j = _check_spin(j)
     if j not in (1.0, 1.5):

@@ -185,6 +185,27 @@ class TestSidecar:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert first["blake2b"] == hashlib.blake2b(outs[0].read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["frame", "--n", "3"],
+        ["map", "--n", "3", "--grid", "6"],
+        ["thermal", "--model", "lmg", "--J", "2", "--gx", "0.5", "--beta-grid", "0,lin:0.5:2:4"],
+        ["phase-diagram", "--J", "3/2", "--beta", "1", "--gminus=-3:3:5", "--gplus=-3:3:5"],
+        ["locus", "--n", "3", "--t3", "0.3", "--samples", "32"],
+        ["boundary", "--samples", "16"],
+        ["flower", "--model", "linear", "--J", "1", "--beta-grid", "0,1,2"],
+    ], ids=lambda argv: argv[0])
+    def test_plain_and_validated_runs_write_equal_files(self, tmp_path, argv, fmt):
+        outs = []
+        for name, validate in (("plain", []), ("validated", ["--validate"])):
+            (tmp_path / name).mkdir()
+            outs.append(tmp_path / name / f"table.{fmt}")
+            assert main([*argv, "--format", fmt, *validate, "--out", str(outs[-1])]) == EXIT_OK
+        plain, validated = ([out.read_bytes(), out.with_name(out.name + ".meta.json").read_bytes()]
+                            for out in outs)
+        assert plain == validated  # the data files, and the sidecars
+        assert "validate" not in json.loads(plain[1])["config"]
+
     @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["plain", "validate"])
     @pytest.mark.parametrize("argv", [
         ["map", "--n", "3", "--grid", "40", "--format", "csv"],
@@ -495,6 +516,14 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: cannot parse {spec}: lo and hi must be finite\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spin", ["2", "5/2", "4"])
+    def test_overflowing_lmg_levels_exit_two_without_a_warning(self, tmp_path, capsys, spin):
+        argv = ["thermal", "--model", "lmg", "--J", spin, "--omega", "1e308", "--gx", "1"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: energies must be finite\n"
+        assert os.listdir(tmp_path) == []
+
     def test_phase_diagram_refuses_linear_model_while_parsing(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -680,21 +709,27 @@ def _dataset_of_rows(rows):
     return Dataset(columns={"p1": p1, "p2": p2, "p3": p3, "physical": physical})
 
 
+#: each format, run with ``--validate`` and without it: both check the same
+_EACH_FORMAT_BOTH_WAYS = pytest.mark.parametrize("fmt, validate", [
+    ("csv", ["--validate"]), ("json", ["--validate"]), ("csv", []), ("json", []),
+], ids=["csv", "json", "csv-plain", "json-plain"])
+
+
 class TestValidate:
     READ_BACK_PROBLEM = (r"validate: the data file does not hold the (\d+) bytes written "
                          r"at byte (\d+)\n")
 
     @staticmethod
-    def _run(tmp_path, monkeypatch, argv, dataset, fmt):
-        """The exit code of ``argv`` exported with ``--validate`` in ``fmt``,
-        with ``dataset`` in place of what its builder makes."""
+    def _run(tmp_path, monkeypatch, argv, dataset, fmt, validate=("--validate",)):
+        """The exit code of ``argv`` exported in ``fmt`` with the options
+        ``validate``, with ``dataset`` in place of what its builder makes."""
         import quditgeom.cli as cli_mod
 
         monkeypatch.setitem(cli_mod._BUILDERS, argv[0], lambda args: dataset)
-        return main([*argv, "--format", fmt, "--validate", "--out", str(tmp_path / f"v.{fmt}")])
+        return main([*argv, "--format", fmt, *validate, "--out", str(tmp_path / f"v.{fmt}")])
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_reports_each_bad_physical_row(self, tmp_path, monkeypatch, capsys, fmt):
+    @_EACH_FORMAT_BOTH_WAYS
+    def test_reports_each_bad_physical_row(self, tmp_path, monkeypatch, capsys, fmt, validate):
         import quditgeom.cli as cli_mod
 
         dataset = _dataset_of_rows([
@@ -716,7 +751,7 @@ class TestValidate:
             monkeypatch.setattr(cli_mod, "_CHUNK_CELLS", rows_per_block)
             assert cli_mod._validate_dataset(dataset, args) == problems
         assert self._run(tmp_path, monkeypatch, ["locus", "--n", "3", "--t2", "0.375"],
-                         dataset, fmt) == EXIT_NUMERICAL
+                         dataset, fmt, validate) == EXIT_NUMERICAL
         assert capsys.readouterr().err == "".join(f"validate: {line}\n" for line in problems)
         assert sorted(os.listdir(tmp_path)) == [f"v.{fmt}", f"v.{fmt}.meta.json"]
 
@@ -767,9 +802,9 @@ class TestValidate:
         meta = json.loads((tmp_path / f"locus.{fmt}.meta.json").read_text())
         assert meta["counts"]["failed_nodes"] > 0  # masked rows hold NaN p
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @_EACH_FORMAT_BOTH_WAYS
     def test_flipped_byte_on_disk_is_one_problem_and_keeps_files(self, tmp_path, monkeypatch,
-                                                                 capsys, fmt):
+                                                                 capsys, fmt, validate):
         flipped = []
 
         def flip_byte_40_once(path):
@@ -785,7 +820,7 @@ class TestValidate:
 
         log = _watch_data_file(monkeypatch, before_read=flip_byte_40_once)
         out = tmp_path / f"grid.{fmt}"
-        assert main(["map", "--n", "3", "--grid", "4", "--format", fmt, "--validate",
+        assert main(["map", "--n", "3", "--grid", "4", "--format", fmt, *validate,
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert len(flipped) == 1 and len(log) == 1
         err = capsys.readouterr().err
@@ -800,10 +835,10 @@ class TestValidate:
         on_disk[40] ^= 1
         assert hashlib.blake2b(on_disk).hexdigest() == written
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @_EACH_FORMAT_BOTH_WAYS
     def test_extra_byte_after_the_last_chunk_is_one_problem(self, tmp_path, monkeypatch,
-                                                            capsys, fmt):
-        argv = ["map", "--n", "3", "--grid", "4", "--format", fmt, "--validate"]
+                                                            capsys, fmt, validate):
+        argv = ["map", "--n", "3", "--grid", "4", "--format", fmt, *validate]
         log = _watch_data_file(monkeypatch)
         assert main([*argv, "--out", str(tmp_path / f"clean.{fmt}")]) == EXIT_OK
         clean = (tmp_path / f"clean.{fmt}").read_bytes()
@@ -827,15 +862,16 @@ class TestValidate:
         assert written == hashlib.blake2b(clean).hexdigest()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_without_validate_nothing_reads_the_data_file(self, tmp_path, monkeypatch, fmt):
+    def test_plain_and_validated_runs_read_back_every_chunk(self, tmp_path, monkeypatch, fmt):
         log = _watch_data_file(monkeypatch)
         argv = ["map", "--n", "3", "--grid", "4", "--format", fmt]
         assert main([*argv, "--out", str(tmp_path / f"grid.{fmt}")]) == EXIT_OK
         assert main([*argv, "--validate", "--out", str(tmp_path / f"v.{fmt}")]) == EXIT_OK
-        plain, validated = log  # one handle each, nothing else opens the data file
-        assert plain["mode"] == "xb" and plain["reads"] == []  # a write-only handle
-        assert validated["mode"] == "x+b"
-        assert len(validated["reads"]) == validated["writes"] > 1
+        assert len(log) == 2  # one handle each, nothing else opens the data file
+        for record in log:
+            assert record["mode"] == "x+b"
+            assert len(record["reads"]) == record["writes"] > 1
+        assert log[0]["reads"] == log[1]["reads"]
         assert (tmp_path / f"grid.{fmt}").read_bytes() == (tmp_path / f"v.{fmt}").read_bytes()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -869,6 +905,9 @@ class TestAtomicOutput:
 
             def __exit__(self, *exc):
                 return self.handle.__exit__(*exc)
+
+            def __getattr__(self, name):  # the read-back's flush, seek and read
+                return getattr(self.handle, name)
 
             def write(self, text):
                 if len(writes) == 2:

@@ -113,6 +113,22 @@ class TestLMGSpectrum:
         # E2 = -2, E1 = 0, E3 = 2 at zero couplings
         assert spec.labels == ("E2", "E1", "E3")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("j", [1, 1.5, 2, 2.5])
+    def test_overflowing_levels_raise_one_error_without_a_warning(self, j):
+        # closed forms for J = 1 and 3/2, the numeric path for J = 2 and 5/2
+        for params in (LMGParams(omega=1e308, g_x=1.0), LMGParams(omega=1.0, g_y=1e308)):
+            with pytest.raises(ValueError, match="^energies must be finite$"):
+                lmg_spectrum(j, params)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("j", [2, 2.5, 4])
+    def test_overflowing_hamiltonians_are_refused_without_a_warning(self, j):
+        with pytest.raises(ValueError, match="^energies must be finite$"):
+            lmg_hamiltonian(j, LMGParams(omega=1e308, g_x=1.0))
+        with pytest.raises(ValueError, match="^energies must be finite$"):
+            direction_hamiltonian(j, 1e308, 0.3, 0.2)
+
 
 class TestSeparatrix:
     def test_printed_values(self):
