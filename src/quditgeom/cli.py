@@ -16,12 +16,13 @@ echoing the configuration, the column schema, node counts and any notes
 about closed forms that disagree with the invariant map.  Each dataset is
 built as named numpy columns and written column by column in bounded
 chunks of rows.  Only one chunk of cell texts is held at a time, plus one
-text per distinct value of each float column with at most half its rows
-distinct: such a column formats each distinct value once and looks its
-cells up.  Both files are written atomically: into temporary files
-in the destination directory, moved into place with ``os.replace`` only
-once both are complete (the data file last, and the sidecar removed again
-if that move fails), so a failed run leaves neither new file behind.
+Python string per distinct value of each float column with at most half
+its rows distinct: such a column formats each distinct value once and
+hands out those same strings as its cells.  Both files are written
+atomically: into temporary files in the destination directory, moved into
+place with ``os.replace`` only once both are complete (the data file
+last, and the sidecar removed again if that move fails), so a failed run
+leaves neither new file behind.
 
 Every export re-checks every physical row of the dataset in memory,
 before it is written, in blocks of rows, and reads each chunk of the
@@ -229,17 +230,19 @@ def _node_table(lead: dict, p, *, physical=None) -> Dataset:
     """A dataset of ``lead`` columns, then p, lambda, t and physical.
 
     ``p`` holds one state per row; lambda and t are derived from the whole
-    block at once.  Rows whose p is not all finite are masked nodes: their
-    state columns are NaN, their physical flag is 0 and they count as
-    failed.  ``physical`` defaults to 1 on every unmasked row.
+    block at once, t first: the power temporaries of ``invariants`` are
+    freed before lambda is allocated, so the peak memory stays near that
+    of the finished table.  Rows whose p is not all finite are masked
+    nodes: their state columns are NaN, their physical flag is 0 and they
+    count as failed.  ``physical`` defaults to 1 on every unmasked row.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[1]
     masked = ~np.isfinite(p).all(axis=1)
     if masked.any():
         p = np.where(masked[:, None], np.nan, p)
-    lam = p_to_lambda(p, validate=False)
     t = invariants(p, validate=False)
+    lam = p_to_lambda(p, validate=False)
     flags = np.ones(len(p), dtype=np.int64) if physical is None else physical.astype(np.int64)
     flags[masked] = 0
     columns = dict(lead)
@@ -262,19 +265,23 @@ def _build_frame(args) -> Dataset:
 def _barycentric_grid(n: int, divisions: int) -> np.ndarray:
     """All points of the simplex with coordinates in multiples of 1/divisions.
 
-    Rows run in ascending lexicographic order of their coordinates.
+    Rows run in ascending lexicographic order of their coordinates, in one
+    C-contiguous float array: its only other arrays are one integer array
+    per coordinate, so the peak memory is about twice the grid's.
     """
     # each pass appends one coordinate: every partial row splits into one
     # row per value 0..left, in ascending order, where left is what remains
-    parts = np.zeros((1, 0), dtype=np.int64)
+    coordinates = []
     left = np.array([divisions])
     for _ in range(n - 1):
         counts = left + 1
-        rows = np.repeat(np.arange(left.size), counts)
         value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        parts = np.column_stack([parts[rows], value])
-        left = left[rows] - value
-    return np.column_stack([parts, left]) / divisions
+        coordinates = [np.repeat(part, counts) for part in coordinates] + [value]
+        left = np.repeat(left, counts) - value
+    grid = np.empty((left.size, n))
+    for k, part in enumerate(coordinates + [left]):
+        np.divide(part, divisions, out=grid[:, k])
+    return grid
 
 
 def _build_map(args) -> Dataset:
@@ -422,9 +429,9 @@ _BUILDERS = {
 #: cells formatted and written at a time (whole rows, at least one): only
 #: one chunk of cell strings is ever held.  A float column longer than this
 #: whose values are at most half distinct also keeps the text of each
-#: distinct value, in one numpy array of 24-character strings, and formats
-#: them this many at a time (see ``_column_cells``).  The row check takes
-#: this many rows at a time
+#: distinct value, as Python strings in one object array, and formats them
+#: this many at a time (see ``_column_cells``).  The row check takes this
+#: many rows at a time
 _CHUNK_CELLS = 2048
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -459,16 +466,16 @@ def _column_cells(column: np.ndarray, *, for_json: bool):
 
     A float column longer than ``_CHUNK_CELLS`` rows whose values are at
     most half distinct (``_distinct`` over the whole column) formats
-    each distinct value once, ``_CHUNK_CELLS`` at a time, into one numpy
-    array of texts (no float ``repr`` is longer than 24 characters); its
-    slices look their cells up by ``np.searchsorted``.  Any other column
-    formats each slice as it comes.
+    each distinct value once, ``_CHUNK_CELLS`` at a time, into one object
+    array of the ``str`` that ``_cells`` made; its slices look their cells
+    up by ``np.searchsorted`` and get those same strings back, with no
+    conversion per cell.  Any other column formats each slice as it comes.
     """
     distinct = (_distinct(column) if column.dtype.kind == "f"
                 and column.size > _CHUNK_CELLS else None)
     if distinct is None or 2 * distinct.size > column.size:
         return lambda part: _cells(part, for_json=for_json)
-    texts = np.empty(distinct.size, dtype="U24")
+    texts = np.empty(distinct.size, dtype=object)
     for start in range(0, distinct.size, _CHUNK_CELLS):
         stop = start + _CHUNK_CELLS
         texts[start:stop] = _cells(distinct[start:stop], for_json=for_json)

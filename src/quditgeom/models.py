@@ -161,11 +161,16 @@ def angular_momentum(j) -> AngularMomentum:
 
 
 def linear_spectrum(j, omega: float = 1.0) -> Spectrum:
-    """Spectrum ``omega*M, M = -J..J`` of ``H = omega * n.J`` (any direction)."""
+    """Spectrum ``omega*M, M = -J..J`` of ``H = omega * n.J`` (any direction).
+
+    Raises ``ValueError("energies must be finite")`` when a level overflows.
+    """
     j = _check_spin(j)
     _check_omega(omega)
     m = np.arange(int(round(2 * j)) + 1) - j
-    return Spectrum(energies=omega * m, labels=tuple(f"M={mm:g}" for mm in m))
+    with np.errstate(over="ignore"):  # Spectrum refuses an overflowed level
+        energies = omega * m
+    return Spectrum(energies=energies, labels=tuple(f"M={mm:g}" for mm in m))
 
 
 def _finite_matrix(matrix: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from argparse import Namespace
 from unittest import mock
 
@@ -18,6 +20,8 @@ from quditgeom.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _barycentric_grid,
+    _build_map,
     _parse_beta_grid,
     _parse_range,
     _parse_spin,
@@ -30,6 +34,27 @@ def read_csv(path):
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     return rows[0], rows[1:]
+
+
+def _traced_peak(function, *args):
+    """``function(*args)`` and the peak bytes ``tracemalloc`` saw during the call."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _compositions(n, divisions):
+    """The points of ``_barycentric_grid(n, divisions)`` by stars and bars:
+    each choice of n - 1 bar positions among divisions + n - 1 slots splits
+    the divisions into n parts, each divided by ``divisions`` as a float."""
+    rows = []
+    for bars in itertools.combinations(range(divisions + n - 1), n - 1):
+        edges = (-1, *bars, divisions + n - 1)
+        rows.append([(hi - lo - 1) / divisions for lo, hi in zip(edges, edges[1:])])
+    return rows
 
 
 class TestParsers:
@@ -418,6 +443,36 @@ class TestMapAndFrame:
         _, rows = read_csv(out)
         assert len(rows) == 15  # C(4+2, 2)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_grid_equals_the_compositions_in_order(self, n):
+        for divisions in range(1, 9):
+            self._assert_grid_equals_compositions(n, divisions)
+
+    @pytest.mark.parametrize("n, divisions", [(3, 280), (4, 60), (5, 29)])
+    def test_benchmark_grids_equal_the_compositions_in_order(self, n, divisions):
+        self._assert_grid_equals_compositions(n, divisions)
+
+    @staticmethod
+    def _assert_grid_equals_compositions(n, divisions):
+        # lambda is bit-stable only for this layout: the same float64 bytes,
+        # C-contiguous rows in ascending lexicographic order
+        expected = _compositions(n, divisions)
+        assert expected == sorted(expected)
+        grid = _barycentric_grid(n, divisions)
+        assert grid.dtype == np.float64 and grid.flags.c_contiguous
+        assert grid.shape == (len(expected), n)
+        assert grid.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    def test_grid_peaks_below_two_and_a_half_grids(self):
+        grid, peak = _traced_peak(_barycentric_grid, 5, 29)
+        assert peak <= 2.5 * grid.nbytes
+
+    def test_map_build_peaks_near_its_columns(self):
+        args = build_parser().parse_args(["map", "--n", "5", "--grid", "29", "--out", "unused"])
+        dataset, peak = _traced_peak(_build_map, args)
+        assert len(dataset) == 40920
+        assert peak <= 1.1 * sum(column.nbytes for column in dataset.columns.values())
+
     def test_frame_rows(self, tmp_path):
         out = tmp_path / "frame.csv"
         assert main(["frame", "--n", "4", "--out", str(out)]) == EXIT_OK
@@ -520,6 +575,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize("spin", ["2", "5/2", "4"])
     def test_overflowing_lmg_levels_exit_two_without_a_warning(self, tmp_path, capsys, spin):
         argv = ["thermal", "--model", "lmg", "--J", spin, "--omega", "1e308", "--gx", "1"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: energies must be finite\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spin", ["2", "4"])
+    def test_overflowing_linear_levels_exit_two_without_a_warning(self, tmp_path, capsys, spin):
+        argv = ["thermal", "--model", "linear", "--J", spin, "--omega", "1e308"]
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: energies must be finite\n"
         assert os.listdir(tmp_path) == []
@@ -771,19 +834,13 @@ class TestValidate:
         assert sorted(os.listdir(tmp_path)) == ["locus.csv", "locus.csv.meta.json"]
 
     def test_validate_stacks_no_whole_table_array(self, tmp_path, monkeypatch):
-        import tracemalloc
-
         import quditgeom.cli as cli_mod
 
         validate, peaks = cli_mod._validate_dataset, []
 
         def traced(dataset, args):
-            tracemalloc.start()
-            try:
-                problems = validate(dataset, args)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            problems, peak = _traced_peak(validate, dataset, args)
+            peaks.append(peak)
             return problems
 
         monkeypatch.setattr(cli_mod, "_validate_dataset", traced)

@@ -62,6 +62,12 @@ class TestLinearSpectrum:
         with pytest.raises(ValueError):
             linear_spectrum(1, -2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("j", [2, 4])
+    def test_overflowing_levels_raise_one_error_without_a_warning(self, j):
+        with pytest.raises(ValueError, match="^energies must be finite$"):
+            linear_spectrum(j, 1e308)
+
     @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2])
     def test_direction_invariance(self, j):
         rng = np.random.default_rng(int(2 * j))
