@@ -11,7 +11,6 @@ line tool exports any of these datasets to CSV or JSON.
 
 from . import basis, curves, models, representations, thermal
 from .basis import *
-from .config import DEFAULT, Tolerances
 from .curves import *
 from .errors import DimensionError, PositivityError
 from .linalg import real_roots
@@ -21,9 +20,9 @@ from .thermal import *
 
 __version__ = "0.1.0"
 
-# config, errors and linalg are imported by name: a star import would also
-# export linalg's real_roots_batch and, as config has no __all__, dataclass
+# errors and linalg are imported by name: a star import would also export
+# linalg's real_roots_batch
 __all__ = [
-    "__version__", "DEFAULT", "Tolerances", "DimensionError", "PositivityError", "real_roots",
+    "__version__", "DimensionError", "PositivityError", "real_roots",
     *basis.__all__, *representations.__all__, *thermal.__all__, *models.__all__, *curves.__all__,
 ]

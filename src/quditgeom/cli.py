@@ -34,6 +34,8 @@ effect.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure with zero successful nodes, or a row or file that fails its check.
+A ``--J`` of more than 1,024 levels 2J + 1 is a configuration error,
+refused before any matrix or spectrum is built.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .curves import (
     permutation_images,
     t_space_boundary_qutrit,
 )
-from .config import DEFAULT
 from .errors import DimensionError
 from .models import LMGParams, _check_spin, linear_spectrum, lmg_spectrum, phase_grid
 from .representations import _simplex_violations, check_probability_vector, invariants, p_to_lambda
@@ -84,8 +85,13 @@ EXIT_NUMERICAL = 4
 #: slack on simplex membership for p given as text (``--point`` values) and
 #: for the rows every export re-checks, which a file holds as text:
 #: decimals typed or rounded by hand, such as 0.333333333 for 1/3, miss the
-#: simplex by more than ``DEFAULT.simplex``
+#: simplex by more than the library's 1e-12
 _TEXT_SIMPLEX_SLACK = 1e-9
+#: allowed defect when a generated locus is re-checked through the invariants
+_INVARIANT_RECHECK = 1e-9
+#: most levels 2J + 1 a spin may have: a dense complex matrix of 1,024
+#: levels takes 16 MB, and each run builds a few of them
+_MAX_LEVELS = 1024
 
 
 class ConfigError(ValueError):
@@ -125,9 +131,13 @@ def _parse_spin(text: str) -> float:
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse spin {text!r}") from exc
     try:
-        return _check_spin(j)
+        j = _check_spin(j)
     except DimensionError as exc:
         raise ConfigError(f"2J must be a positive integer, got {text!r}") from exc
+    if round(2.0 * j) + 1 > _MAX_LEVELS:
+        raise ConfigError(f"J = {text} is too large: 2J + 1 may be at most {_MAX_LEVELS} "
+                          f"(J <= {(_MAX_LEVELS - 1) / 2:g})")
+    return j
 
 
 def _parse_spec(spec: str, what: str) -> tuple:
@@ -637,7 +647,7 @@ def _validate_dataset(dataset: Dataset, args) -> list:
             if target:
                 name, value = target
                 t = invariants(p, validate=False)[:, int(name[1]) - 2]
-                off_target = checked & (np.abs(t - value) > DEFAULT.invariant_recheck)
+                off_target = checked & (np.abs(t - value) > _INVARIANT_RECHECK)
         for i in np.flatnonzero(nonfinite | off_simplex | off_target):
             row_number = start + int(i) + 2
             if nonfinite[i]:

@@ -17,10 +17,10 @@ it follows the respective closed forms:
   ``polar_to_p``, bounded by ``sqrt(3/2)``.
 
 Every locus target t_k is checked against its range [1/n^(k-1), 1] in one
-place; a target outside it by at most ``DEFAULT.simplex`` is clamped onto
-the bound.  Out-of-simplex continuations are generated and flagged
-unphysical rather than dropped, so the dotted unphysical branches of the
-loci can be exported alongside the physical ones.  Nodes where the radius
+place; a target outside it by at most 1e-12 is clamped onto the bound.
+Out-of-simplex continuations are generated and flagged unphysical rather
+than dropped, so the dotted unphysical branches of the loci can be
+exported alongside the physical ones.  Nodes where the radius
 equation has no admissible root get NaN coordinates and a False flag.
 
 All functions are pure.  The ququart surfaces solve the radius
@@ -36,10 +36,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import _check_dimension
-from .config import DEFAULT
 from .errors import DimensionError
 from .linalg import real_roots, real_roots_batch
-from .representations import _direction_cosines, _polar_points, invariants
+from .representations import _SIMPLEX_SLACK, _direction_cosines, _polar_points, invariants
 
 __all__ = [
     "ParamCurve",
@@ -104,10 +103,10 @@ def _target(k: int, n: int, value: float) -> float:
     """A locus target t_k, checked against its range and clamped into it.
 
     ``t_k = Tr(rho^k)`` of an n-level state lies in [1/n^(k-1), 1]; a value
-    outside by at most ``DEFAULT.simplex`` is moved onto the bound.
+    outside by at most ``_SIMPLEX_SLACK`` is moved onto the bound.
     """
     lo = 1.0 / n ** (k - 1)
-    if not (lo - DEFAULT.simplex <= value <= 1.0 + DEFAULT.simplex):
+    if not (lo - _SIMPLEX_SLACK <= value <= 1.0 + _SIMPLEX_SLACK):
         raise ValueError(f"t{k} must lie in [1/{n ** (k - 1)}, 1], got {value!r}")
     return min(max(value, lo), 1.0)
 
@@ -145,7 +144,7 @@ def simplex_medians(n: int, samples: int = 512) -> list:
         u = np.linspace(0.0, 1.0, samples)
         v = np.linspace(0.0, 1.0, samples)
         uu, vv = np.meshgrid(u, v, indexing="ij")
-        inside = uu + vv <= 1.0 + DEFAULT.simplex
+        inside = uu + vv <= 1.0 + _SIMPLEX_SLACK
         meshes = []
         for m, ell in itertools.combinations(range(4), 2):
             rest = [i for i in range(4) if i not in (m, ell)]
@@ -386,11 +385,6 @@ def lambda_segment_images(samples: int = 512) -> list:
         printed_points = np.column_stack([f2(x), f3(x)])
         matches = bool(np.max(np.abs(printed_points - t)) <= 1e-12)
         meta = {"closed_form": printed, "matches_closed_form": matches}
-        if not matches:
-            meta["note"] = (
-                "closed form in circulation disagrees with the invariant map; "
-                "the verified curve is emitted"
-            )
         curves.append(replace(segment, space="t", points=t, meta=meta))
     return curves
 

@@ -17,9 +17,7 @@ ground pair (or the top pair) becomes degenerate.
 The thermal phase diagram is one batched kernel, :func:`phase_grid`: the
 closed forms, the stable level ordering, the degeneracy test and the
 Gibbs occupations all broadcast over the whole coupling grid, whose nodes
-come out in row-major order (first grid outer).  The lambda and t images of
-the occupations are derived from them on first access, in one call each
-over the whole grid.
+come out in row-major order (first grid outer).
 :func:`classify_region`, :func:`label_ordered_occupations` and
 :func:`lmg_spectrum` (for J = 1 and J = 3/2) call the same helpers on one row.
 """
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .representations import _DerivedCoordinates, check_probability_vector
+from .representations import check_probability_vector
 from .thermal import Spectrum, _check_beta, _degeneracy_slack, _occupations
 
 __all__ = [
@@ -108,28 +106,25 @@ class PhaseRegion:
 
     ``energy_order`` lists the closed-form level labels (1-based) sorted by
     ascending energy; since thermal occupations reverse the energy ranking,
-    the same sequence read as "most occupied first" is the probability
-    ordering, stored explicitly as ``probability_order``.  On a separatrix
-    (or at an isolated crossing) ``region_id`` is ``"boundary"`` and the
-    degenerate label pairs are reported.
+    the same sequence read most-occupied-first is the probability order.
+    On a separatrix (or at an isolated crossing) ``region_id`` is
+    ``"boundary"`` and the degenerate label pairs are reported.
     """
 
     region_id: str
     energy_order: tuple
-    probability_order: tuple
     degenerate_pairs: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseGrid(_DerivedCoordinates):
+class PhaseGrid:
     """Columns of a thermal phase sweep, one row per coupling-grid node.
 
     Rows run over the grid in row-major order (first grid outer).
     ``order[i]`` lists the level labels (1-based) by ascending energy and
     ``degenerate[i, k]`` flags the label pair ``pairs[k]``; a row with any
     flag set has ``region[i] == "boundary"``.  ``p`` holds the occupations
-    in fixed label order; ``lam`` and ``t``, its lambda and t images, are
-    derived from ``p`` on first access.
+    in fixed label order.
     """
 
     g_x: np.ndarray
@@ -286,7 +281,7 @@ def _classify(j: float, energies: np.ndarray, order: np.ndarray) -> tuple:
 
     ``order`` is the stable ascending argsort of ``energies`` along the
     level axis.  Two levels are degenerate when they differ by at most
-    ``DEFAULT.degeneracy * max(1, max|E|)`` of their row.
+    ``1e-9 * max(1, max|E|)`` of their row (``_degeneracy_slack``).
     """
     first, second = np.triu_indices(energies.shape[-1], 1)
     degenerate = np.abs(energies[:, first] - energies[:, second]) <= _degeneracy_slack(energies)
@@ -318,21 +313,18 @@ def classify_region(j, params: LMGParams) -> PhaseRegion:
 
     Region I has the label order E1 < E2 < ... ascending; II swaps the
     ground pair; III additionally swaps the top pair (J = 3/2) or moves E1
-    above E3 (J = 1).  Points where any two levels coincide within
-    ``DEFAULT.degeneracy`` times the energy scale ``max(1, max|E|)`` are
-    reported as boundaries carrying the degenerate label pairs instead of
-    an arbitrary ordering.
+    above E3 (J = 1).  Points where any two levels coincide within 1e-9
+    times the energy scale ``max(1, max|E|)`` are reported as boundaries
+    carrying the degenerate label pairs instead of an arbitrary ordering.
     """
     j = _check_spin(j)
     energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)[None]
     order = np.argsort(energies, axis=-1, kind="stable")
     degenerate, region = _classify(j, energies, order)
-    labels = tuple((order[0] + 1).tolist())
     pairs = _label_pairs(energies.shape[-1])
     return PhaseRegion(
         region_id=str(region[0]),
-        energy_order=labels,
-        probability_order=labels,
+        energy_order=tuple((order[0] + 1).tolist()),
         degenerate_pairs=tuple(pair for pair, hit in zip(pairs, degenerate[0]) if hit),
     )
 
@@ -364,9 +356,8 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
 
     The closed forms are evaluated once per node, the levels are sorted
     with one stable argsort, and the occupations of the whole grid are
-    validated once.  Their lambda and t images are derived from them on
-    first access, by one :func:`p_to_lambda` and one :func:`invariants`
-    call over the whole grid.
+    validated once.  Their lambda and t images are
+    ``p_to_lambda(grid.p)`` and ``invariants(grid.p)``.
     """
     j = _check_spin(j)
     if coords not in ("gpm", "gxy"):

@@ -24,7 +24,6 @@ concurrently.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import _check_dimension, simplex_frame
-from .config import DEFAULT
 from .errors import DimensionError, PositivityError
 
 __all__ = [
@@ -50,6 +48,16 @@ __all__ = [
     "positivity_check",
     "orbit_classification",
 ]
+
+#: slack on simplex membership: p_j in [-slack, 1 + slack], |sum p - 1| <= slack
+_SIMPLEX_SLACK = 1e-12
+#: accepted Hermiticity defect max|H - H^dagger|
+_HERMITIAN_SLACK = 1e-10
+#: slack on the smallest eigenvalue in the positivity test, relative to the
+#: largest eigenvalue magnitude
+_POSITIVITY_SLACK = 1e-12
+#: eigenvalue clustering threshold, relative to the largest eigenvalue
+_DEGENERACY_SLACK = 1e-9
 
 
 class SimplexPoint(NamedTuple):
@@ -109,13 +117,13 @@ def _simplex_violations(p: np.ndarray, tol: float) -> tuple:
     return (p < -tol) | (p > 1.0 + tol), np.where(defect > tol, defect, 0.0)
 
 
-def check_probability_vector(p, tol: float | None = None, *, name: str = "p") -> np.ndarray:
-    """Validate simplex membership of ``p`` (broadcasts over leading axes).
+def check_probability_vector(p, tol: float = _SIMPLEX_SLACK, *, name: str = "p") -> np.ndarray:
+    """Validate simplex membership of ``p`` (broadcasts over leading axes),
+    with slack ``tol`` on each component and on the normalization.
 
     Raises :class:`PositivityError` naming the first offending component,
     or :class:`ValueError` when the normalization is off.
     """
-    tol = DEFAULT.simplex if tol is None else tol
     p = np.asarray(p, dtype=float)
     if p.shape[-1] < 2:
         raise DimensionError(f"{name} must have at least 2 components")
@@ -171,26 +179,6 @@ def invariants(p, *, validate: bool = True) -> np.ndarray:
     return np.stack([(p**ell).sum(axis=-1) for ell in range(2, n + 1)], axis=-1)
 
 
-class _DerivedCoordinates:
-    """``lam`` and ``t`` of a record's states ``self.p``, derived on first access.
-
-    For records whose p was validated where it was made: each map runs
-    once, unvalidated, on first access, and the result is kept on the
-    instance.  ``functools.cached_property`` writes to the instance
-    ``__dict__``, so this works on frozen dataclasses without slots.
-    """
-
-    @functools.cached_property
-    def lam(self) -> np.ndarray:
-        """Diagonal Bloch coefficients of ``p`` (see :func:`p_to_lambda`)."""
-        return p_to_lambda(self.p, validate=False)
-
-    @functools.cached_property
-    def t(self) -> np.ndarray:
-        """Trace-power invariants of ``p`` (see :func:`invariants`)."""
-        return invariants(self.p, validate=False)
-
-
 def t_vertices(n: int) -> np.ndarray:
     """The n vertices of the physical region in t-space.
 
@@ -232,14 +220,14 @@ def _polar_points(n: int, scale, cosines) -> tuple:
 
     ``scale`` is an array and the cosines broadcast to its shape; ``p`` has
     that shape plus a last axis of n.  A point is physical when its scale
-    is finite and no component falls below ``-DEFAULT.simplex`` (a NaN
+    is finite and no component falls below ``-_SIMPLEX_SLACK`` (a NaN
     component fails that test too).
     """
     frame = simplex_frame(n)
     direction = sum(map(np.multiply.outer, cosines, frame.axes))
     p = frame.center + scale[..., None] * direction
     finite = np.isfinite(scale)
-    physical = finite & (np.where(finite[..., None], p, 0.0).min(axis=-1) >= -DEFAULT.simplex)
+    physical = finite & (np.where(finite[..., None], p, 0.0).min(axis=-1) >= -_SIMPLEX_SLACK)
     return p, physical
 
 
@@ -255,9 +243,9 @@ def polar_to_p(n: int, r: float, angles=(), *, convention: str = "main") -> Simp
     the hyperspherical ordering with ``cos(theta_1)`` on the first axis.
     For other n the two conventions coincide (hyperspherical).
 
-    Out-of-simplex results (a component below ``-DEFAULT.simplex``) are
-    returned with ``physical=False`` rather than raising, so curves may be
-    continued beyond the physical region.
+    Out-of-simplex results (a component below -1e-12) are returned with
+    ``physical=False`` rather than raising, so curves may be continued
+    beyond the physical region.
     """
     n = simplex_frame(n).n  # rejects a bad dimension before anything else
     if not np.isfinite(r) or r < 0:
@@ -273,10 +261,10 @@ def polar_to_p(n: int, r: float, angles=(), *, convention: str = "main") -> Simp
 def positivity_check(matrix) -> PositivityResult:
     """Positivity of a Hermitian matrix from its spectrum.
 
-    A matrix with max|H - H^dagger| above ``DEFAULT.hermitian`` raises
+    A matrix with max|H - H^dagger| above 1e-10 raises
     ``ValueError``.  One ``np.linalg.eigvalsh`` call gives the eigenvalues;
     the matrix counts as positive semidefinite when none falls below
-    ``-DEFAULT.positivity * max|lambda|``.  Every Hermitian matrix with
+    ``-1e-12 * max|lambda|``.  Every Hermitian matrix with
     n <= 16 whose smallest eigenvalue is at most -1e-6 * max|lambda| is
     judged non-positive, and every positive semidefinite one, exact zero
     eigenvalues included, positive.
@@ -292,12 +280,12 @@ def positivity_check(matrix) -> PositivityResult:
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix contains non-finite entries")
     defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if defect > DEFAULT.hermitian:
+    if defect > _HERMITIAN_SLACK:
         raise ValueError(
-            f"matrix is not Hermitian within {DEFAULT.hermitian:g} (max asymmetry {defect:.3e})"
+            f"matrix is not Hermitian within {_HERMITIAN_SLACK:g} (max asymmetry {defect:.3e})"
         )
     eigs = np.linalg.eigvalsh(h)
-    positive = bool(np.all(eigs >= -DEFAULT.positivity * np.abs(eigs).max(initial=0.0)))
+    positive = bool(np.all(eigs >= -_POSITIVITY_SLACK * np.abs(eigs).max(initial=0.0)))
     signs = (-1.0) ** np.arange(1, eigs.size + 1)
     return PositivityResult(positive=positive, coefficients=signs * np.atleast_1d(np.poly(eigs))[1:])
 
@@ -305,7 +293,7 @@ def positivity_check(matrix) -> PositivityResult:
 def orbit_classification(p) -> DegeneracyPattern:
     """Group the eigenvalues of a diagonal state into degeneracy clusters.
 
-    Neighbouring eigenvalues within ``DEFAULT.degeneracy`` times the
+    Neighbouring eigenvalues within 1e-9 times the
     largest eigenvalue belong to one cluster.  Multiplicities are reported
     in descending-eigenvalue order.
     """
@@ -314,7 +302,7 @@ def orbit_classification(p) -> DegeneracyPattern:
         raise ValueError("orbit classification takes a single probability vector")
     n = p.shape[0]
     values = np.sort(p)[::-1]
-    threshold = DEFAULT.degeneracy * values[0]
+    threshold = _DEGENERACY_SLACK * values[0]
     multiplicities = [1]
     for gap in np.diff(values):
         if -gap > threshold:

@@ -18,7 +18,8 @@ Everything in this module is a pure function of immutable inputs;
 trajectory sampling is vectorized over the beta grid and may also be
 evaluated concurrently point by point without coordination, the output
 ordering being fixed by the grid.  A trajectory holds its occupation
-vectors; their lambda and t images are derived from them on first access.
+vectors p; their lambda and t images are ``p_to_lambda(traj.p)`` and
+``invariants(traj.p)``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT
-from .representations import _DerivedCoordinates, check_probability_vector
+from .representations import _DEGENERACY_SLACK, check_probability_vector
 
 __all__ = [
     "Spectrum",
@@ -109,12 +109,9 @@ class ThermalState:
 
 
 @dataclass(frozen=True, eq=False)
-class ThermalTrajectory(_DerivedCoordinates):
-    """A thermal curve sampled on a beta grid, in all three coordinates.
-
-    ``p`` holds one occupation vector per beta; ``lam`` and ``t``, its
-    lambda and t images, are derived from ``p`` on first access.
-    """
+class ThermalTrajectory:
+    """A thermal curve sampled on a beta grid: ``p`` holds one occupation
+    vector per beta."""
 
     spectrum: Spectrum
     beta: np.ndarray
@@ -141,12 +138,12 @@ def _occupations(energies: np.ndarray, beta) -> tuple:
 
 
 def _degeneracy_slack(energies: np.ndarray) -> np.ndarray:
-    """``DEFAULT.degeneracy * max(1, max|E|)`` over the last axis of ``energies``.
+    """``1e-9 * max(1, max|E|)`` over the last axis of ``energies``.
 
     Two levels that differ by at most this are degenerate.  The result
     keeps the last axis, with length 1, so it broadcasts against ``energies``.
     """
-    return DEFAULT.degeneracy * np.maximum(1.0, np.abs(energies).max(axis=-1, keepdims=True))
+    return _DEGENERACY_SLACK * np.maximum(1.0, np.abs(energies).max(axis=-1, keepdims=True))
 
 
 def _check_beta(beta) -> float:
@@ -180,8 +177,8 @@ def endpoint_state(spectrum: Spectrum, which: str) -> np.ndarray:
 
     ``which="infinite"`` (beta -> 0) gives the uniform vector; ``"zero"``
     (beta -> inf) puts weight 1/k on each of the k levels within
-    ``DEFAULT.degeneracy * max(1, max|h|)`` of the ground energy.  Any
-    other ``which`` raises ``ValueError``.
+    ``1e-9 * max(1, max|h|)`` of the ground energy.  Any other ``which``
+    raises ``ValueError``.
     """
     h = spectrum.energies
     n = spectrum.n
@@ -201,11 +198,9 @@ def default_beta_grid() -> np.ndarray:
 def trajectory(spectrum: Spectrum, beta_grid=None) -> ThermalTrajectory:
     """Sample the thermal curve of ``spectrum`` on an ascending beta grid.
 
-    Each sample carries the occupation vector, validated once here; its
-    Bloch-diagonal and invariant images are derived from it on first
-    access.  With the default grid the first sample is the most mixed state
-    and the last is numerically indistinguishable from the ground-multiplet
-    projector.
+    Each sample carries the occupation vector, validated once here.  With
+    the default grid the first sample is the most mixed state and the last
+    is numerically indistinguishable from the ground-multiplet projector.
     """
     if beta_grid is None:
         beta_grid = default_beta_grid()

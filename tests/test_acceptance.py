@@ -61,7 +61,7 @@ def test_c02_qutrit_thermal_identity():
     trajectory(spec, grid)  # warm-up
     start = time.perf_counter()
     traj = trajectory(spec, grid)
-    t2, t3 = traj.t[:, 0], traj.t[:, 1]
+    t2, t3 = invariants(traj.p).T
     defect = np.abs(t3 - (9 * t2**2 - 3 * t2**3 + 3 * t2 - 1) / 8).max()
     elapsed = time.perf_counter() - start
     assert defect < 1e-12

@@ -109,6 +109,12 @@ class TestParsers:
         # values, signs of zero, length and order
         assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("command", ["thermal", "flower"])
+    def test_default_beta_grid_is_the_library_default(self, command):
+        args = build_parser().parse_args([command, "--model", "lmg", "--J", "1", "--out", "x"])
+        grid, expected = _parse_beta_grid(args.beta_grid), quditgeom.default_beta_grid()
+        assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("text", ["-1,1", "0,-1e-300", "nan", "1,nan,nan", "lin:nan:1:3",
                                       "-inf,2", "inf"])
     def test_beta_grid_refuses_negative_and_nan_values_as_np_unique_did(self, text):
@@ -488,6 +494,10 @@ PHASE = ["phase-diagram", "--J", "1", "--beta", "1", "--gplus", "0"]
 LINEAR = ["thermal", "--model", "linear", "--J", "1"]
 
 
+class SpectrumReached(Exception):
+    """Raised by a spectrum builder that a test forbids the CLI to call."""
+
+
 class TestErrorPaths:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -585,6 +595,38 @@ class TestErrorPaths:
         argv = ["thermal", "--model", "linear", "--J", spin, "--omega", "1e308"]
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: energies must be finite\n"
+        assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def _refuse_spectra(monkeypatch):
+        """Make every spectrum builder the CLI calls raise ``SpectrumReached``."""
+        import quditgeom.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise SpectrumReached
+        monkeypatch.setattr(cli_mod, "linear_spectrum", refuse)
+        monkeypatch.setattr(cli_mod, "lmg_spectrum", refuse)
+
+    # 1,025, 1,026, 200,001 and about 2e300 levels: refused by the count alone
+    @pytest.mark.parametrize("spin", ["512", "1025/2", "100000", "1e300"])
+    @pytest.mark.parametrize("model", ["linear", "lmg"])
+    @pytest.mark.parametrize("command", ["thermal", "flower"])
+    def test_spin_past_the_level_bound_exits_two_before_any_spectrum(
+            self, tmp_path, capsys, monkeypatch, command, model, spin):
+        self._refuse_spectra(monkeypatch)
+        argv = [command, "--model", model, "--J", spin, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: J = {spin} is too large: 2J + 1 may be at most 1024 (J <= 511.5)\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("model", ["linear", "lmg"])
+    @pytest.mark.parametrize("command", ["thermal", "flower"])
+    def test_spin_of_1024_levels_reaches_the_spectrum(self, tmp_path, monkeypatch,
+                                                      command, model):
+        self._refuse_spectra(monkeypatch)
+        with pytest.raises(SpectrumReached):
+            main([command, "--model", model, "--J", "1023/2", "--out", str(tmp_path / "x.csv")])
         assert os.listdir(tmp_path) == []
 
     def test_phase_diagram_refuses_linear_model_while_parsing(self, tmp_path):
@@ -821,10 +863,9 @@ class TestValidate:
     def test_failure_prints_twenty_problems_exits_four_and_keeps_files(self, tmp_path,
                                                                        monkeypatch, capsys):
         import quditgeom.cli as cli_mod
-        from quditgeom import Tolerances
 
         # a negative recheck slack turns every physical row into a problem
-        monkeypatch.setattr(cli_mod, "DEFAULT", Tolerances(invariant_recheck=-1.0))
+        monkeypatch.setattr(cli_mod, "_INVARIANT_RECHECK", -1.0)
         out = tmp_path / "locus.csv"
         code = main(["locus", "--n", "3", "--t2", "0.5", "--samples", "30", "--validate",
                      "--out", str(out)])

@@ -126,6 +126,11 @@ class TestConstantT2:
         t2 = (mesh.points**2).sum(axis=-1)
         assert np.abs(t2 - 0.5).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_dimensions_past_four_are_refused(self, n):
+        with pytest.raises(DimensionError, match=rf"implemented for n in {{3, 4}}, got {n}$"):
+            constant_t2_locus(n, 0.5)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             constant_t2_locus(3, 0.2)

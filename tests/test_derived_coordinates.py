@@ -1,19 +1,15 @@
-"""lambda and t of the thermal records are derived from p, once, on first access."""
+"""The thermal records hold p alone, validated once where it is made; lambda
+and t come from ``p_to_lambda`` and ``invariants``."""
 
 import collections
-import dataclasses
 
 import numpy as np
 import pytest
 
 from quditgeom import (
     LMGParams,
-    PhaseGrid,
-    ThermalTrajectory,
-    invariants,
     linear_spectrum,
     lmg_spectrum,
-    p_to_lambda,
     phase_grid,
     trajectory,
 )
@@ -24,17 +20,18 @@ BUILDERS = {
     "trajectory-lmg": lambda: trajectory(lmg_spectrum(2, LMGParams(g_x=0.7, g_y=-1.2))),
     "phase-grid": lambda: phase_grid(1.5, np.linspace(-3, 3, 7), np.linspace(-3, 3, 5), 1.0),
 }
+RECORDS = {"ThermalTrajectory": BUILDERS["trajectory-lmg"], "PhaseGrid": BUILDERS["phase-grid"]}
 
 
-@pytest.mark.parametrize("record", [ThermalTrajectory, PhaseGrid])
-def test_records_hold_p_but_no_lambda_or_t_field(record):
-    names = {field.name for field in dataclasses.fields(record)}
-    assert "p" in names
-    assert not names & {"lam", "t"}
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+def test_records_hold_p_but_no_lambda_or_t_field(build):
+    record = build()
+    assert len(record.p) == len(record)
+    assert not hasattr(record, "lam") and not hasattr(record, "t")
 
 
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
-def test_p_is_validated_once_and_lambda_and_t_derived_once_on_access(build, monkeypatch):
+def test_p_is_validated_once(build, monkeypatch):
     calls = collections.Counter()
 
     def counting(name, func):
@@ -48,11 +45,5 @@ def test_p_is_validated_once_and_lambda_and_t_derived_once_on_access(build, monk
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
-    record = build()
+    build()
     assert calls == {"check_probability_vector": 1}
-    lam, t = record.lam, record.t
-    assert record.lam is lam and record.t is t
-    assert calls == {"check_probability_vector": 1, "p_to_lambda": 1, "invariants": 1}
-    monkeypatch.undo()
-    assert np.array_equal(lam, p_to_lambda(record.p))
-    assert np.array_equal(t, invariants(record.p))

@@ -14,6 +14,7 @@ from quditgeom import (
     linear_spectrum,
     lmg_hamiltonian,
     invariants,
+    lambda_to_p,
     lmg_spectrum,
     p_to_lambda,
     phase_grid,
@@ -177,12 +178,12 @@ class TestClassifyRegion:
     def test_region_one_example(self):
         region = classify_region(1, LMGParams.from_plus_minus(0.0, -3.0))
         assert region.region_id == "I"
-        assert region.probability_order == (1, 2, 3)
+        assert region.energy_order == (1, 2, 3)
 
     def test_region_two_example(self):
         region = classify_region(1, LMGParams.from_plus_minus(0.0, 0.0))
         assert region.region_id == "II"
-        assert region.probability_order == (2, 1, 3)
+        assert region.energy_order == (2, 1, 3)
 
     def test_region_three_ordering(self):
         region = classify_region(1, LMGParams.from_plus_minus(0.0, 3.0))
@@ -225,12 +226,12 @@ class TestClassifyRegion:
             # occupation is descending over the sorted spectrum, so the
             # label sequence of the sorted levels is the probability order
             labels = tuple(int(lab[1:]) for lab in spec.labels)
-            assert labels == region.probability_order
+            assert labels == region.energy_order
             assert np.all(np.diff(state.p) <= 1e-15)
             # and the label-ordered vector sorts in exactly that order
             p_label = label_ordered_occupations(j, params, 0.7)
             order = tuple(int(i) + 1 for i in np.argsort(-p_label, kind="stable"))
-            assert order == region.probability_order
+            assert order == region.energy_order
 
 
 class TestPhaseSweep:
@@ -298,11 +299,12 @@ class TestPhaseGrid:
     def test_occupations_match_numeric_spectrum(self, j, coords):
         beta = 0.8
         grid = phase_grid(j, self.GRID, self.GRID, beta=beta, omega=1.3, coords=coords)
+        t = invariants(grid.p)
         for i in range(len(grid)):
             params = LMGParams(omega=1.3, g_x=grid.g_x[i], g_y=grid.g_y[i])
             state = gibbs_state(Spectrum(np.linalg.eigvalsh(lmg_hamiltonian(j, params))), beta)
             np.testing.assert_allclose(np.sort(grid.p[i])[::-1], state.p, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(grid.t[i], invariants(state.p), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t[i], invariants(state.p), rtol=0, atol=1e-12)
 
     def test_grid_order_and_sweep_view(self):
         grid = phase_grid(1, [1.0, 2.0], [3.0, 4.0, 5.0], beta=0.5)
@@ -310,7 +312,7 @@ class TestPhaseGrid:
         np.testing.assert_array_equal(grid.g_plus, [3, 4, 5, 3, 4, 5])
         np.testing.assert_array_equal(grid.g_x, (grid.g_plus + grid.g_minus) / 2)
         np.testing.assert_array_equal(grid.g_y, (grid.g_plus - grid.g_minus) / 2)
-        np.testing.assert_array_equal(grid.lam, p_to_lambda(grid.p))
+        np.testing.assert_allclose(lambda_to_p(p_to_lambda(grid.p)), grid.p, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("change", [
         {"g_minus_grid": [0.0, math.nan]},

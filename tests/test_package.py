@@ -3,12 +3,12 @@ import dataclasses
 import pytest
 
 import quditgeom
-from quditgeom import basis, config, curves, errors, linalg, models, representations, thermal
+from quditgeom import basis, curves, errors, linalg, models, representations, thermal
 
 # the package's public names; each module's own list supplies all but the
-# first six, which come from modules without a star export
+# first four, which come from modules without a star export
 PUBLIC_NAMES = {
-    "__version__", "DEFAULT", "Tolerances", "DimensionError", "PositivityError", "real_roots",
+    "__version__", "DimensionError", "PositivityError", "real_roots",
     "GeneratorSet", "SimplexFrame", "build_generators", "simplex_frame", "bloch_bound",
     "DegeneracyPattern", "SimplexPoint", "PositivityResult", "check_probability_vector",
     "diagonal_coefficients", "transformation_matrices", "p_to_lambda", "lambda_to_p",
@@ -27,7 +27,7 @@ EXPORTING = (basis, curves, linalg, models, representations, thermal)
 
 
 def test_package_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 53
     assert len(quditgeom.__all__) == len(set(quditgeom.__all__))
     assert set(quditgeom.__all__) == PUBLIC_NAMES
     assert not hasattr(quditgeom, "real_roots_batch")
@@ -35,14 +35,12 @@ def test_package_names_are_pinned():
 
 def test_each_package_name_is_the_object_of_its_defining_module():
     home = {name: module for module in EXPORTING for name in module.__all__}
-    home.update(DEFAULT=config, Tolerances=config, DimensionError=errors,
-                PositivityError=errors, real_roots=linalg)
+    home.update(DimensionError=errors, PositivityError=errors, real_roots=linalg)
     assert set(home) | {"__version__"} >= PUBLIC_NAMES
     for name in PUBLIC_NAMES - {"__version__"}:
         obj = getattr(quditgeom, name)
         assert obj is getattr(home[name], name), name
-        if callable(obj):  # a function or class, not an instance such as DEFAULT
-            assert obj.__module__ == home[name].__name__, name
+        assert obj.__module__ == home[name].__name__, name
 
 
 def test_each_module_lists_exactly_its_public_functions_and_classes():

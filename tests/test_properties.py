@@ -16,7 +16,6 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from quditgeom import (
-    DEFAULT,
     LMGParams,
     Spectrum,
     check_probability_vector,
@@ -38,9 +37,17 @@ from quditgeom import (
     trajectory,
 )
 from quditgeom.basis import build_generators, simplex_frame
-from quditgeom.cli import _CHUNK_CELLS, Dataset, _csv_chunks, _json_chunks, _validate_dataset
+from quditgeom.cli import (
+    _CHUNK_CELLS,
+    _INVARIANT_RECHECK,
+    Dataset,
+    _csv_chunks,
+    _json_chunks,
+    _validate_dataset,
+)
 from quditgeom.curves import ParamCurve
 from quditgeom.linalg import real_roots_batch
+from quditgeom.representations import _SIMPLEX_SLACK
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -188,9 +195,11 @@ def test_invariants_are_power_sums_of_the_rotated_state(p, seed):
 @given(spectra(), st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5))
 def test_trajectory_lambda_and_t_are_the_maps_of_its_p(spectrum, betas):
     traj = trajectory(spectrum, sorted(betas))
-    assert traj.lam is traj.lam and traj.t is traj.t
-    assert np.array_equal(traj.lam, p_to_lambda(traj.p))
-    assert np.array_equal(traj.t, invariants(traj.p))
+    # the validating maps accept p; lambda maps back onto it, t lies in its range
+    lam, t = p_to_lambda(traj.p), invariants(traj.p)
+    np.testing.assert_allclose(lambda_to_p(lam), traj.p, rtol=0, atol=1e-15)
+    lower = 1.0 / spectrum.n ** np.arange(1, spectrum.n)
+    assert (t >= lower - 1e-15).all() and (t <= 1.0 + 1e-15).all()
 
 
 @SETTINGS
@@ -213,7 +222,7 @@ def test_orbit_multiplicities_sum_to_n_and_fix_the_orbit_dimension(p):
        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=6, max_size=6))
 def test_polar_to_p_flag_is_the_simplex_test(n, r, convention, angles):
     point = polar_to_p(n, r, angles[: n - 2], convention=convention)
-    assert point.physical == (point.p.min() >= -DEFAULT.simplex)
+    assert point.physical == (point.p.min() >= -_SIMPLEX_SLACK)
 
 
 @SETTINGS
@@ -355,7 +364,7 @@ def _assert_physical_nodes_hit(points, physical, k, target):
     p = points.reshape(-1, n)[physical.ravel()]
     check_probability_vector(p)
     defect = np.abs(invariants(p, validate=False)[:, k - 2] - target)
-    assert (defect <= DEFAULT.invariant_recheck).all(), defect.max()
+    assert (defect <= _INVARIANT_RECHECK).all(), defect.max()
 
 
 @SETTINGS

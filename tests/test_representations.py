@@ -83,6 +83,13 @@ def test_positivity_error_prints_the_component_as_a_plain_float():
         check_probability_vector(np.array([0.5, 0.6, -0.1]))
 
 
+@pytest.mark.parametrize("p", [[1.0], [[1.0], [1.0]]], ids=["one-state", "stacked"])
+def test_check_probability_vector_needs_two_components(p):
+    # a single component of 1 is on the simplex; only the count refuses it
+    with pytest.raises(DimensionError, match=r"^p must have at least 2 components$"):
+        check_probability_vector(p)
+
+
 def test_lambda_to_p_names_offending_component():
     # lambda_8 = -3 pushes p_1 = 1/3 + lambda_8/(2 sqrt(3)) below zero
     with pytest.raises(PositivityError) as excinfo:

@@ -109,6 +109,11 @@ class TestEndpoints:
 
 
 class TestTrajectory:
+    def test_length_is_the_number_of_betas(self):
+        for betas in ([0.0], [0.0, 0.5, 1.0, 2.0, 4.0]):
+            traj = trajectory(linear_spectrum(1, 1.0), betas)  # 3 levels
+            assert len(traj) == len(betas) == len(traj.p)
+
     def test_equidistant_product_identity_qutrit(self):
         traj = trajectory(linear_spectrum(1, 1.0))
         assert np.abs(traj.p[:, 1] ** 2 - traj.p[:, 0] * traj.p[:, 2]).max() < 1e-12
@@ -127,16 +132,16 @@ class TestTrajectory:
 
     def test_qutrit_t3_of_t2_identity(self):
         traj = trajectory(linear_spectrum(1, 1.0), np.logspace(-3, 3, 200))
-        t2, t3 = traj.t[:, 0], traj.t[:, 1]
+        t2, t3 = invariants(traj.p).T
         assert np.abs(t3 - (9 * t2**2 - 3 * t2**3 + 3 * t2 - 1) / 8).max() < 1e-12
 
     def test_t_invariant_closed_form_linear_qutrit(self):
         beta = np.logspace(-3, 1.5, 80)
-        traj = trajectory(linear_spectrum(1, 1.0), beta)
+        t = invariants(trajectory(linear_spectrum(1, 1.0), beta).p)
         z = 1 + 2 * np.cosh(beta)
         for ell in (2, 3):
             expected = (1 + 2 * np.cosh(ell * beta)) / z**ell
-            assert np.abs(traj.t[:, ell - 2] - expected).max() < 1e-12
+            assert np.abs(t[:, ell - 2] - expected).max() < 1e-12
 
     def test_near_zero_beta_linearization(self):
         # ground occupation grows as (1 + beta*omega)/3, top falls as (1 - beta*omega)/3
@@ -159,9 +164,9 @@ class TestTrajectory:
         # ground degeneracy k sends the zero-temperature end to vertex k
         for energies, k in (([0.0, 1.0, 2.0], 1), ([0.0, 0.0, 1.0], 2)):
             spec = Spectrum(energies=energies)
-            traj = trajectory(spec)
-            np.testing.assert_allclose(traj.t[0], t_vertices(3)[2], atol=1e-12)
-            np.testing.assert_allclose(traj.t[-1], t_vertices(3)[k - 1], atol=1e-9)
+            t = invariants(trajectory(spec).p)
+            np.testing.assert_allclose(t[0], t_vertices(3)[2], atol=1e-12)
+            np.testing.assert_allclose(t[-1], t_vertices(3)[k - 1], atol=1e-9)
 
     def test_default_grid_starts_at_zero(self):
         grid = default_beta_grid()
@@ -219,11 +224,8 @@ def test_invariants_of_thermal_states_stay_in_bounds():
     rng = np.random.default_rng(23)
     for _ in range(50):
         spec = Spectrum(energies=np.sort(rng.normal(size=4)))
-        traj = trajectory(spec, np.logspace(-2, 2, 30))
-        t = traj.t
+        t = invariants(trajectory(spec, np.logspace(-2, 2, 30)).p)
         for ell in range(2, 5):
             col = t[:, ell - 2]
             assert np.all(col >= 1.0 / 4 ** (ell - 1) - 1e-12)
             assert np.all(col <= 1.0 + 1e-12)
-        mapped = invariants(traj.p)
-        assert np.abs(mapped - t).max() == 0.0
