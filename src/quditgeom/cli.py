@@ -34,8 +34,9 @@ effect.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure with zero successful nodes, or a row or file that fails its check.
-A ``--J`` of more than 1,024 levels 2J + 1 is a configuration error,
-refused before any matrix or spectrum is built.
+A ``--J`` that the library refuses, 2J not a positive integer or more
+than 1,024 levels 2J + 1, is a configuration error, raised before any
+matrix or spectrum is built.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from .curves import (
     permutation_images,
     t_space_boundary_qutrit,
 )
-from .errors import DimensionError
 from .models import LMGParams, _check_spin, linear_spectrum, lmg_spectrum, phase_grid
 from .representations import _simplex_violations, check_probability_vector, invariants, p_to_lambda
 from .thermal import trajectory
@@ -89,9 +89,6 @@ EXIT_NUMERICAL = 4
 _TEXT_SIMPLEX_SLACK = 1e-9
 #: allowed defect when a generated locus is re-checked through the invariants
 _INVARIANT_RECHECK = 1e-9
-#: most levels 2J + 1 a spin may have: a dense complex matrix of 1,024
-#: levels takes 16 MB, and each run builds a few of them
-_MAX_LEVELS = 1024
 
 
 class ConfigError(ValueError):
@@ -131,13 +128,9 @@ def _parse_spin(text: str) -> float:
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse spin {text!r}") from exc
     try:
-        j = _check_spin(j)
-    except DimensionError as exc:
-        raise ConfigError(f"2J must be a positive integer, got {text!r}") from exc
-    if round(2.0 * j) + 1 > _MAX_LEVELS:
-        raise ConfigError(f"J = {text} is too large: 2J + 1 may be at most {_MAX_LEVELS} "
-                          f"(J <= {(_MAX_LEVELS - 1) / 2:g})")
-    return j
+        return _check_spin(j)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_spec(spec: str, what: str) -> tuple:
@@ -150,6 +143,8 @@ def _parse_spec(spec: str, what: str) -> tuple:
         # a NaN endpoint makes NaN values, which are refused where they are read
         if math.isinf(lo) or math.isinf(hi):
             raise ValueError("lo and hi must be finite")
+        if math.isinf(hi - lo):  # a float subtraction, which does not warn as numpy's does
+            raise ValueError("hi - lo must be finite")
         if count < 1:
             raise ValueError("count must be >= 1")
     except ValueError as exc:

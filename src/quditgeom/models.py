@@ -18,8 +18,11 @@ The thermal phase diagram is one batched kernel, :func:`phase_grid`: the
 closed forms, the stable level ordering, the degeneracy test and the
 Gibbs occupations all broadcast over the whole coupling grid, whose nodes
 come out in row-major order (first grid outer).
-:func:`classify_region`, :func:`label_ordered_occupations` and
-:func:`lmg_spectrum` (for J = 1 and J = 3/2) call the same helpers on one row.
+:func:`classify_region` and :func:`label_ordered_occupations` read row 0
+of a one-node :func:`phase_grid` call.
+
+Every function that takes J refuses it, before any array exists, unless
+2J is a positive integer and the spin has at most 1,024 levels 2J + 1.
 """
 
 from __future__ import annotations
@@ -50,11 +53,19 @@ __all__ = [
 ]
 
 
+#: most levels 2J + 1 a spin may have: a dense complex matrix of 1,024
+#: levels takes 16 MB, and each run builds a few of them
+_MAX_LEVELS = 1024
+
+
 def _check_spin(j) -> float:
     j = float(j)
     twoj = 2.0 * j
     if not math.isfinite(j) or round(twoj) < 1 or abs(twoj - round(twoj)) > 1e-12:
         raise DimensionError(f"2J must be a positive integer, got J = {j!r}")
+    if round(twoj) + 1 > _MAX_LEVELS:
+        raise DimensionError(f"J = {j:g} is too large: 2J + 1 may be at most {_MAX_LEVELS} "
+                             f"(J <= {(_MAX_LEVELS - 1) / 2:g})")
     return j
 
 
@@ -296,18 +307,6 @@ def _classify(j: float, energies: np.ndarray, order: np.ndarray) -> tuple:
     return degenerate, region
 
 
-def _label_occupations(energies: np.ndarray, order: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs occupations of label-ordered levels, returned in label order."""
-    p_sorted, _ = _occupations(np.take_along_axis(energies, order, axis=-1), beta)
-    p = np.empty_like(p_sorted)
-    np.put_along_axis(p, order, p_sorted, axis=-1)
-    return p
-
-
-def _label_pairs(n: int) -> tuple:
-    return tuple((int(a) + 1, int(b) + 1) for a, b in zip(*np.triu_indices(n, 1)))
-
-
 def classify_region(j, params: LMGParams) -> PhaseRegion:
     """Phase region of an LMG coupling point from its energy ordering.
 
@@ -317,15 +316,11 @@ def classify_region(j, params: LMGParams) -> PhaseRegion:
     times the energy scale ``max(1, max|E|)`` are reported as boundaries
     carrying the degenerate label pairs instead of an arbitrary ordering.
     """
-    j = _check_spin(j)
-    energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)[None]
-    order = np.argsort(energies, axis=-1, kind="stable")
-    degenerate, region = _classify(j, energies, order)
-    pairs = _label_pairs(energies.shape[-1])
+    grid = phase_grid(j, params.g_x, params.g_y, 0.0, params.omega, coords="gxy")
     return PhaseRegion(
-        region_id=str(region[0]),
-        energy_order=tuple((order[0] + 1).tolist()),
-        degenerate_pairs=tuple(pair for pair, hit in zip(pairs, degenerate[0]) if hit),
+        region_id=str(grid.region[0]),
+        energy_order=tuple(grid.order[0].tolist()),
+        degenerate_pairs=tuple(pair for pair, hit in zip(grid.pairs, grid.degenerate[0]) if hit),
     )
 
 
@@ -338,10 +333,7 @@ def label_ordered_occupations(j, params: LMGParams, beta: float) -> np.ndarray:
     bisectrix, while the energy-sorted vector always stays in the
     descending sector.
     """
-    j = _check_spin(j)
-    beta = _check_beta(beta)
-    energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
-    return _label_occupations(energies, np.argsort(energies, kind="stable"), beta)
+    return phase_grid(j, params.g_x, params.g_y, beta, params.omega, coords="gxy").p[0]
 
 
 def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
@@ -379,7 +371,9 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
     energies = _lmg_labeled_energies(j, omega, g_plus, g_minus)
     order = np.argsort(energies, axis=-1, kind="stable")
     degenerate, region = _classify(j, energies, order)
-    p = check_probability_vector(_label_occupations(energies, order, beta))
+    p_sorted, _ = _occupations(np.take_along_axis(energies, order, axis=-1), beta)
+    p = np.empty_like(p_sorted)
+    np.put_along_axis(p, order, p_sorted, axis=-1)
     return PhaseGrid(
         g_x=g_x,
         g_y=g_y,
@@ -388,7 +382,8 @@ def phase_grid(j, g_minus_grid, g_plus_grid, beta: float, omega: float = 1.0,
         region=region,
         order=order + 1,
         degenerate=degenerate,
-        pairs=_label_pairs(energies.shape[-1]),
-        p=p,
+        pairs=tuple((int(lo) + 1, int(hi) + 1)
+                    for lo, hi in zip(*np.triu_indices(energies.shape[-1], 1))),
+        p=check_probability_vector(p),
     )
 

@@ -113,7 +113,10 @@ def _simplex_violations(p: np.ndarray, tol: float) -> tuple:
     ``[-tol, 1 + tol]``, and each vector's normalization defect
     ``|sum p - 1|``, set to 0 where it is at most ``tol``.
     """
-    defect = np.abs(p.sum(axis=-1) - 1.0)
+    # a finite p whose sum overflows (to inf, or to NaN from inf - inf) has a
+    # component outside [-tol, 1 + tol], so ``outside`` refuses it anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(p.sum(axis=-1) - 1.0)
     return (p < -tol) | (p > 1.0 + tol), np.where(defect > tol, defect, 0.0)
 
 

@@ -536,7 +536,7 @@ class TestErrorPaths:
         (["thermal", "--model", "lmg", "--J", "1", "--gx", "nan", "--beta-grid", "0"],
          "couplings must be finite"),
         (["thermal", "--model", "linear", "--J", "0.3"],
-         "2J must be a positive integer, got '0.3'"),
+         "2J must be a positive integer, got J = 0.3"),
         (["frame", "--n", "1"], "dimension must be >= 2, got 1"),
         (["map", "--n", "0"], "dimension must be >= 2, got 0"),
         (["phase-diagram", "--J", "2", "--beta", "1", "--gminus", "0", "--gplus", "0"],
@@ -582,6 +582,27 @@ class TestErrorPaths:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, spec", [
+        (PHASE + ["--gminus=-1e308:1e308:3"], "range '-1e308:1e308:3'"),
+        (PHASE + ["--gminus=-1e308:1e308:1"], "range '-1e308:1e308:1'"),
+        (LINEAR + ["--beta-grid", "lin:-1e308:1e308:3"], "grid spec 'lin:-1e308:1e308:3'"),
+    ], ids=["range-span", "range-span-one-value", "beta-grid-lin-span"])
+    def test_range_whose_span_overflows_exits_two_without_a_warning(self, tmp_path, capsys,
+                                                                    argv, spec):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot parse {spec}: hi - lo must be finite\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_point_whose_sum_overflows_exits_two_without_a_warning(self, tmp_path, capsys):
+        argv = ["map", "--n", "3", "--point", "1e308,1e308,-1e308"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: point '1e308,1e308,-1e308' is not a probability vector: "
+            "p[1] = 1e+308 lies outside [0, 1]\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spin", ["2", "5/2", "4"])
     def test_overflowing_lmg_levels_exit_two_without_a_warning(self, tmp_path, capsys, spin):
         argv = ["thermal", "--model", "lmg", "--J", spin, "--omega", "1e308", "--gx", "1"]
@@ -615,9 +636,10 @@ class TestErrorPaths:
             self, tmp_path, capsys, monkeypatch, command, model, spin):
         self._refuse_spectra(monkeypatch)
         argv = [command, "--model", model, "--J", spin, "--out", str(tmp_path / "x.csv")]
+        shown = {"512": "512", "1025/2": "512.5", "100000": "100000", "1e300": "1e+300"}[spin]
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: J = {spin} is too large: 2J + 1 may be at most 1024 (J <= 511.5)\n")
+            f"error: J = {shown} is too large: 2J + 1 may be at most 1024 (J <= 511.5)\n")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("model", ["linear", "lmg"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from quditgeom import (
     linear_spectrum,
     lmg_hamiltonian,
     invariants,
+    label_ordered_occupations,
     lambda_to_p,
     lmg_spectrum,
     p_to_lambda,
@@ -48,6 +50,35 @@ class TestAngularMomentum:
     def test_bad_spin_rejected(self, bad):
         with pytest.raises(DimensionError):
             angular_momentum(bad)
+
+
+# every public function that takes J, called with valid other arguments
+SPIN_ENTRY_POINTS = {
+    "angular_momentum": angular_momentum,
+    "linear_spectrum": linear_spectrum,
+    "lmg_hamiltonian": lambda j: lmg_hamiltonian(j, LMGParams()),
+    "direction_hamiltonian": lambda j: direction_hamiltonian(j, 1.0, 0.3, 0.2),
+    "lmg_spectrum": lambda j: lmg_spectrum(j, LMGParams()),
+    "separatrix": lambda j: separatrix(j, "ground", 0.0),
+    "classify_region": lambda j: classify_region(j, LMGParams()),
+    "label_ordered_occupations": lambda j: label_ordered_occupations(j, LMGParams(), 1.0),
+    "phase_grid": lambda j: phase_grid(j, [0.0], [0.0], 1.0),
+}
+
+
+class TestSpinBound:
+    # 1,025 and 1,026 levels, and a spin whose levels no array could hold
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("j, shown", [(512, "512"), (512.5, "512.5"), (1e300, "1e+300")],
+                             ids=["512", "1025/2", "1e300"])
+    @pytest.mark.parametrize("call", SPIN_ENTRY_POINTS.values(), ids=SPIN_ENTRY_POINTS.keys())
+    def test_spin_past_the_level_bound_is_refused(self, call, j, shown):
+        message = f"J = {shown} is too large: 2J + 1 may be at most 1024 (J <= 511.5)"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            call(j)
+
+    def test_spin_of_1024_levels_is_accepted(self):
+        assert linear_spectrum(511.5).energies.size == 1024
 
 
 class TestLinearSpectrum:

@@ -83,6 +83,20 @@ def test_positivity_error_prints_the_component_as_a_plain_float():
         check_probability_vector(np.array([0.5, 0.6, -0.1]))
 
 
+# a sum of 1e308 + 1e308 overflows to inf; in numpy's pairwise sum of 16
+# components, inf and -inf partial sums meet and make NaN
+OVERFLOWING_SUMS = [[1e308, 1e308, -1e308], [1e308, -1e308, *[0.0] * 6, 1e308, -1e308, *[0.0] * 6]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", OVERFLOWING_SUMS, ids=["sum-inf", "sum-nan"])
+@pytest.mark.parametrize("check", [check_probability_vector, p_to_lambda, invariants,
+                                   orbit_classification], ids=lambda f: f.__name__)
+def test_finite_p_whose_sum_overflows_is_refused_without_a_warning(check, p):
+    with pytest.raises(PositivityError, match=r"^p\[1\] = 1e\+308 lies outside \[0, 1\]$"):
+        check(p)
+
+
 @pytest.mark.parametrize("p", [[1.0], [[1.0], [1.0]]], ids=["one-state", "stacked"])
 def test_check_probability_vector_needs_two_components(p):
     # a single component of 1 is on the simplex; only the count refuses it
