@@ -21,8 +21,8 @@ its rows distinct: such a column formats each distinct value once and
 hands out those same strings as its cells.  Both files are written
 atomically: into temporary files in the destination directory, moved into
 place with ``os.replace`` only once both are complete (the data file
-last, and the sidecar removed again if that move fails), so a failed run
-leaves neither new file behind.
+last; an earlier sidecar is parked and moved back if a move fails), so a
+failed run leaves the earlier pair, or none, as it found it.
 
 Every export re-checks every physical row of the dataset in memory,
 before it is written, in blocks of rows, and reads each chunk of the
@@ -576,9 +576,12 @@ def _write_outputs(path: str, args, dataset: Dataset) -> list:
     problem.  The sidecar records the digest under ``blake2b``.  Both files
     go to temporary files in the destination directory first and are moved
     into place with ``os.replace`` only once both are complete, the sidecar
-    first and the data file last; if that last move fails, the sidecar just
-    moved is removed again.  On any error the temporary files are removed
-    and no new file is left at ``path`` or beside it.
+    first and the data file last.  An earlier sidecar is parked under a
+    ``.tmp`` name first and moved back if either move fails, so on any error
+    the temporary files are removed and ``path`` and its sidecar are as the
+    run found them.  The parked copy is deleted once the data file is in
+    place; if only that deletion fails, the new pair stands, the earlier
+    sidecar stays under its ``.tmp`` name and the run exits 3.
     """
     chunks = (_csv_chunks if args.format == "csv" else _json_chunks)(dataset)
     sidecar = path + ".meta.json"
@@ -604,12 +607,20 @@ def _write_outputs(path: str, args, dataset: Dataset) -> list:
         with open(sidecar_temp, "xb") as handle:
             written.append(sidecar_temp)
             handle.write((json.dumps(payload, indent=1) + "\n").encode())
-        os.replace(sidecar_temp, sidecar)
+        parked = sidecar + ".old" + suffix if os.path.exists(sidecar) else None
+        if parked:
+            os.replace(sidecar, parked)
         try:
+            os.replace(sidecar_temp, sidecar)
             os.replace(data_temp, path)
         except OSError:
-            os.remove(sidecar)
+            if parked:
+                os.replace(parked, sidecar)
+            elif os.path.exists(sidecar):  # none was there before this run
+                os.remove(sidecar)
             raise
+        if parked:
+            os.remove(parked)
     finally:
         for temp in written:
             if os.path.exists(temp):

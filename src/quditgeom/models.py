@@ -8,11 +8,12 @@ Two Hamiltonian families are covered for a collective spin J:
 * the LMG form ``H = 2*omega*(Jz + g_x Jx^2 + g_y Jy^2)`` with
   dimensionless couplings, commonly summarized by ``g_pm = g_x +- g_y``.
 
-For J = 1 and J = 3/2 the LMG eigenvalues have closed forms (implemented
-here and cross-checked against ``np.linalg.eigvalsh``); level crossings
-as the couplings vary split the ``(g_minus, g_plus)`` plane into three
-regions with fixed energy ordering, separated by the curves where the
-ground pair (or the top pair) becomes degenerate.
+For J = 1 and J = 3/2 the LMG eigenvalues have closed forms (cross-checked
+against ``np.linalg.eigvalsh``), which every caller evaluates on coupling
+arrays, so ``thermal``, ``flower`` and ``phase-diagram`` export the same
+bits for one coupling.  Level crossings split the ``(g_minus, g_plus)``
+plane into three regions of fixed energy ordering, separated by the
+curves where the ground pair (or the top pair) becomes degenerate.
 
 The thermal phase diagram is one batched kernel, :func:`phase_grid`: the
 closed forms, the stable level ordering, the degeneracy test and the
@@ -245,16 +246,18 @@ def _lmg_labeled_energies(j: float, omega, g_plus, g_minus) -> np.ndarray:
 def lmg_spectrum(j, params: LMGParams) -> Spectrum:
     """LMG spectrum, from the closed forms for J in {1, 3/2} and numeric otherwise.
 
-    For J = 1 and J = 3/2 the closed-form levels are sorted ascending,
-    ties broken by label order, and the labels are recorded; every other J
-    diagonalizes the Hamiltonian with ``np.linalg.eigvalsh``.  Either path
-    raises ``ValueError("energies must be finite")`` when a level or a
+    For J = 1 and J = 3/2 the closed-form levels, evaluated on one-node
+    arrays as in :func:`phase_grid` (so both give the same bits), are
+    sorted ascending, ties broken by label order, and the labels are
+    recorded; every other J diagonalizes the Hamiltonian with
+    ``np.linalg.eigvalsh``.  Either path raises
+    ``ValueError("energies must be finite")`` when a level or a
     Hamiltonian entry overflows.
     """
     j = _check_spin(j)
     if j not in (1.0, 1.5):
         return Spectrum(energies=np.linalg.eigvalsh(lmg_hamiltonian(j, params)))
-    energies = _lmg_labeled_energies(j, params.omega, params.g_plus, params.g_minus)
+    energies = _lmg_labeled_energies(j, params.omega, [params.g_plus], [params.g_minus])[0]
     order = np.argsort(energies, kind="stable")
     return Spectrum(energies=energies[order], labels=tuple(f"E{i + 1}" for i in order))
 

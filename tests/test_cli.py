@@ -1007,7 +1007,96 @@ class TestValidate:
         assert capsys.readouterr().err == "validate: row 2: p violates the simplex constraints\n"
 
 
+class _IOCalls(list):
+    """The names of the I/O calls of the export run since the last
+    ``clear()``, in order; call number ``fail_at`` (0-based) raised."""
+
+    fail_at = None
+
+
+def _count_io_calls(monkeypatch) -> _IOCalls:
+    """Count each I/O call an export makes: each ``open``, each ``write``,
+    ``flush``, ``seek`` and ``read`` of a handle it opened, and each
+    ``os.replace`` and ``os.remove``.  The call whose index is the returned
+    log's ``fail_at`` raises ``OSError(ENOSPC)`` instead of running."""
+    import quditgeom.cli as cli_mod
+
+    calls = _IOCalls()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls.append(name)
+            if len(calls) - 1 == calls.fail_at:
+                raise OSError(28, "No space left on device")
+            return function(*args, **kwargs)
+        return call
+
+    class Counted:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def __getattr__(self, name):
+            method = getattr(self.handle, name)
+            return counted(name, method) if name in ("write", "flush", "seek", "read") else method
+
+    counted_open = counted("open", open)
+    monkeypatch.setattr(cli_mod, "open", lambda *a, **k: Counted(counted_open(*a, **k)),
+                        raising=False)
+    for name in ("replace", "remove"):
+        monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+    return calls
+
+
 class TestAtomicOutput:
+    EARLIER = {"out": b"earlier data\n", "out.meta.json": b'{"earlier": "sidecar"}\n'}
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-pair"])
+    @pytest.mark.parametrize("argv", [
+        ["map", "--n", "3", "--grid", "2"],
+        ["phase-diagram", "--J", "1", "--beta", "1", "--gminus=-1:1:2", "--gplus=-1:1:2",
+         "--format", "json"],
+    ], ids=["map-csv", "phase-diagram-json"])
+    def test_each_failing_io_call_leaves_the_earlier_pair_or_none(self, tmp_path, monkeypatch,
+                                                                  capsys, argv, earlier):
+        calls = _count_io_calls(monkeypatch)
+        before = self.EARLIER if earlier else {}
+
+        def run(name):
+            directory = tmp_path / name
+            directory.mkdir()
+            for file, data in before.items():
+                (directory / file).write_bytes(data)
+            calls.clear()
+            code = main([*argv, "--out", str(directory / "out")])
+            files = {path.name: path.read_bytes() for path in directory.iterdir()}
+            return code, files, capsys.readouterr().err
+
+        code, made, _ = run("clean")
+        assert code == EXIT_OK and sorted(made) == ["out", "out.meta.json"]
+        clean = list(calls)
+        for index, name in enumerate(clean):
+            calls.fail_at = index
+            code, files, err = run(str(index))
+            assert code == EXIT_IO, (index, name)
+            assert err == "io-error: [Errno 28] No space left on device\n"
+            if earlier and name == "remove":
+                # only the parked copy's deletion failed: the new pair stands
+                # and the earlier sidecar stays under its parked .tmp name
+                parked = [file for file in files if file.endswith(".tmp")]
+                assert len(parked) == 1 and files.pop(parked[0]) == before["out.meta.json"]
+                assert files == made
+            else:
+                assert files == before, (index, name)
+        # the parked earlier sidecar is deleted last, once the data file is in place
+        assert clean.count("remove") == earlier
+        assert clean[-1] == ("remove" if earlier else "replace")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, fmt):
         import quditgeom.cli as cli_mod

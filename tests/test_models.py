@@ -21,6 +21,7 @@ from quditgeom import (
     p_to_lambda,
     phase_grid,
     separatrix,
+    trajectory,
 )
 
 
@@ -344,6 +345,20 @@ class TestPhaseGrid:
         np.testing.assert_array_equal(grid.g_x, (grid.g_plus + grid.g_minus) / 2)
         np.testing.assert_array_equal(grid.g_y, (grid.g_plus - grid.g_minus) / 2)
         np.testing.assert_allclose(lambda_to_p(p_to_lambda(grid.p)), grid.p, rtol=0, atol=1e-15)
+
+    # J = 3/2 couplings where the closed forms on 0-d values (numpy's scalar
+    # square) and on arrays differed in the last bit; J = 1 squares no sum
+    @pytest.mark.parametrize("g_x, g_y", [
+        (-2.6604762109285933, -0.26301766865584464),
+        (2.9123510812253737, 2.761374496967368),
+        (-1.0738056473212692, 0.5170148767895449),
+    ])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("j", [1, 1.5])
+    def test_spectrum_path_writes_the_grid_row_bit_for_bit(self, j, beta, g_x, g_y):
+        grid = phase_grid(j, [g_x], [g_y], beta, coords="gxy")
+        sorted_p = trajectory(lmg_spectrum(j, LMGParams(g_x=g_x, g_y=g_y)), [beta]).p[0]
+        assert np.array_equal(sorted_p, grid.p[0][grid.order[0] - 1])
 
     @pytest.mark.parametrize("change", [
         {"g_minus_grid": [0.0, math.nan]},
