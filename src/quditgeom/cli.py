@@ -16,13 +16,14 @@ echoing the configuration, the column schema, node counts and any notes
 about closed forms that disagree with the invariant map.  Each dataset is
 built as named numpy columns and written column by column in bounded
 chunks of rows.  Only one chunk of cell texts is held at a time, plus one
-Python string per distinct value of each float column with at most half
-its rows distinct: such a column formats each distinct value once and
-hands out those same strings as its cells.  Both files are written
-atomically: into temporary files in the destination directory, moved into
-place with ``os.replace`` only once both are complete (the data file
-last; an earlier sidecar is parked and moved back if a move fails), so a
-failed run leaves the earlier pair, or none, as it found it.
+Python string per distinct value of each numeric column with at most half
+its rows distinct: such a column formats each distinct value once, with
+the separator before it, and hands out those same strings as its cells.
+Both files are written atomically: into temporary files in the
+destination directory, moved into place with ``os.replace`` only once
+both are complete (the data file last; an earlier sidecar is parked and
+moved back if a move fails), so a failed run leaves the earlier pair, or
+none, as it found it.
 
 Every export re-checks every physical row of the dataset in memory,
 before it is written, in blocks of rows, and reads each chunk of the
@@ -163,7 +164,7 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-empty float array, ascending, as
+    """The distinct values of a non-empty numeric array, ascending, as
     ``np.unique`` finds them, save that each NaN counts as distinct, and
     without the import of ``numpy.ma`` that ``np.unique`` makes."""
     ordered = np.sort(values)
@@ -432,11 +433,12 @@ _BUILDERS = {
 # output
 
 #: cells formatted and written at a time (whole rows, at least one): only
-#: one chunk of cell strings is ever held.  A float column longer than this
+#: one chunk of cell strings is ever held.  A numeric column longer than this
 #: whose values are at most half distinct also keeps the text of each
-#: distinct value, as Python strings in one object array, and formats them
-#: this many at a time (see ``_column_cells``).  The row check takes this
-#: many rows at a time
+#: distinct value, led by its separator and, in the last column, followed by
+#: the row's terminator, as Python strings in one object array, and formats
+#: them this many at a time (see ``_column_cells``).  The row check takes
+#: this many rows at a time
 _CHUNK_CELLS = 2048
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -466,41 +468,50 @@ def _cells(column: np.ndarray, *, for_json: bool) -> list:
     return [quoted[text] for text in texts]
 
 
-def _column_cells(column: np.ndarray, *, for_json: bool):
-    """A function from each slice of ``column`` to its cells, as ``_cells``.
+def _column_cells(column: np.ndarray, separator: str, terminator: str, *, for_json: bool):
+    """A function from each slice of ``column`` to the streams of text of
+    its rows, as ``_text_chunks`` zips them: cell k of the slice reads
+    ``separator``, its cell as ``_cells`` makes it, then ``terminator``.
 
-    A float column longer than ``_CHUNK_CELLS`` rows whose values are at
-    most half distinct (``_distinct`` over the whole column) formats
-    each distinct value once, ``_CHUNK_CELLS`` at a time, into one object
-    array of the ``str`` that ``_cells`` made; its slices look their cells
-    up by ``np.searchsorted`` and get those same strings back, with no
-    conversion per cell.  Any other column formats each slice as it comes.
+    A numeric column longer than ``_CHUNK_CELLS`` rows whose values are at
+    most half distinct (``_distinct`` over the whole column) formats each
+    distinct value once, ``_CHUNK_CELLS`` at a time, into one object array
+    of the ``str`` ``separator + cell + terminator``; its slices look their
+    texts up by ``np.searchsorted`` and get those same strings back as one
+    stream, with no conversion per cell.  Any other column formats each
+    slice as it comes and adds one ``itertools.repeat`` stream for each of
+    ``separator`` and ``terminator`` that is not empty.
     """
-    distinct = (_distinct(column) if column.dtype.kind == "f"
+    distinct = (_distinct(column) if column.dtype.kind in "biuf"
                 and column.size > _CHUNK_CELLS else None)
     if distinct is None or 2 * distinct.size > column.size:
-        return lambda part: _cells(part, for_json=for_json)
+        before = [itertools.repeat(separator)] if separator else []
+        after = [itertools.repeat(terminator)] if terminator else []
+        return lambda part: [*before, _cells(part, for_json=for_json), *after]
     texts = np.empty(distinct.size, dtype=object)
     for start in range(0, distinct.size, _CHUNK_CELLS):
         stop = start + _CHUNK_CELLS
-        texts[start:stop] = _cells(distinct[start:stop], for_json=for_json)
-    return lambda part: texts[distinct.searchsorted(part)].tolist()
+        texts[start:stop] = [separator + cell + terminator
+                             for cell in _cells(distinct[start:stop], for_json=for_json)]
+    return lambda part: [texts[distinct.searchsorted(part)].tolist()]
 
 
 def _text_chunks(dataset: Dataset, separators: list, *, for_json: bool):
     """The rows as text, one string per chunk of rows.
 
     Each row reads ``separators[0] cell separators[1] cell ... separators[-1]``.
-    The cells of a chunk are interleaved with the separators into a single
-    join, so no string per row is built.
+    The streams of the columns' texts (see ``_column_cells``; the last
+    column carries ``separators[-1]``) are zipped into a single join per
+    chunk, so no string per row is built.
     """
     columns = list(dataset.columns.values())
-    formats = [_column_cells(col, for_json=for_json) for col in columns]
+    terminators = [""] * (len(columns) - 1) + separators[-1:]
+    formats = [_column_cells(col, separator, terminator, for_json=for_json)
+               for col, separator, terminator in zip(columns, separators, terminators)]
     rows = max(1, _CHUNK_CELLS // len(columns))
     for start in range(0, len(dataset), rows):
-        cells = [cells_of(col[start:start + rows]) for cells_of, col in zip(formats, columns)]
-        fill = [itertools.repeat(sep, len(cells[0])) for sep in separators]
-        streams = [stream for pair in zip(fill, cells) for stream in pair] + fill[-1:]
+        streams = [stream for streams_of, col in zip(formats, columns)
+                   for stream in streams_of(col[start:start + rows])]
         yield "".join(itertools.chain.from_iterable(zip(*streams)))
 
 

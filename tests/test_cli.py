@@ -761,26 +761,33 @@ class TestWriters:
         x = np.repeat(sampled, 3)
         x[2] = 0.0
         values = x.tolist()
+        # a repeated int column last, whose texts carry the row terminator
+        count = np.arange(x.size) % 5 - 2
         formatted = []
         cells = cli_mod._cells
         monkeypatch.setattr(cli_mod, "_cells", lambda column, *, for_json: (
             formatted.append(column.copy()) or cells(column, for_json=for_json)))
 
-        got = "".join(cli_mod._csv_chunks(Dataset(columns={"x": x})))
+        columns = {"x": x, "count": count}
+        got = "".join(cli_mod._csv_chunks(Dataset(columns=columns)))
         expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerows([["x"]] + [[repr(v + 0.0)]
-                                                                       for v in values])
+        csv.writer(expected, lineterminator="\n").writerows(
+            [["x", "count"]] + [[repr(v + 0.0), repr(k)] for v, k in zip(values, count.tolist())])
         assert got == expected.getvalue()
-        got = "".join(cli_mod._json_chunks(Dataset(columns={"x": x})))
-        payload = {"columns": ["x"],
-                   "rows": [{"x": None if math.isnan(v) else v + 0.0} for v in values]}
+        got = "".join(cli_mod._json_chunks(Dataset(columns=columns)))
+        payload = {"columns": ["x", "count"],
+                   "rows": [{"x": None if math.isnan(v) else v + 0.0, "count": k}
+                            for v, k in zip(values, count.tolist())]}
         assert got == json.dumps(payload, indent=1) + "\n"
 
         # per writer: each number once, and each NaN row (each counts as distinct)
-        formatted = np.concatenate(formatted)
+        ints = np.concatenate([part for part in formatted if part.dtype.kind == "i"])
+        formatted = np.concatenate([part for part in formatted if part.dtype.kind == "f"])
         numbers = formatted[~np.isnan(formatted)]
         assert numbers.size == np.unique(numbers).size * 2 == (len(sampled) - 1) * 2
         assert np.isnan(formatted).sum() == 3 * 2
+        # and each int once
+        assert sorted(ints.tolist()) == sorted([-2, -1, 0, 1, 2] * 2)
 
 
 def _watch_data_file(monkeypatch, before_read=lambda path: None):
@@ -1058,10 +1065,18 @@ class TestAtomicOutput:
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-pair"])
     @pytest.mark.parametrize("argv", [
-        ["map", "--n", "3", "--grid", "2"],
-        ["phase-diagram", "--J", "1", "--beta", "1", "--gminus=-1:1:2", "--gplus=-1:1:2",
-         "--format", "json"],
-    ], ids=["map-csv", "phase-diagram-json"])
+        pytest.param([*argv, "--format", fmt], id=f"{argv[0]}-{fmt}")
+        for argv in [
+            ["frame", "--n", "3"],
+            ["map", "--n", "3", "--grid", "2"],
+            ["thermal", "--model", "lmg", "--J", "1", "--beta-grid", "0,1"],
+            ["phase-diagram", "--J", "1", "--beta", "1", "--gminus=-1:1:2", "--gplus=-1:1:2"],
+            ["locus", "--n", "3", "--t3", "0.3", "--samples", "4"],
+            ["boundary", "--samples", "4"],
+            ["flower", "--model", "linear", "--J", "1", "--beta-grid", "0,1"],
+        ]
+        for fmt in ("csv", "json")
+    ])
     def test_each_failing_io_call_leaves_the_earlier_pair_or_none(self, tmp_path, monkeypatch,
                                                                   capsys, argv, earlier):
         calls = _count_io_calls(monkeypatch)

@@ -117,7 +117,10 @@ def tables(draw, rows=st.integers(1, 40) | st.integers(_CHUNK_CELLS - 2, _CHUNK_
     throughout, one repeats only on every ``rows // _CHUNK_CELLS``-th row
     and one only off those rows: each other row repeats the distinct value
     of one of them, so the whole column repeats though those rows alone
-    are distinct."""
+    are distinct.  One int column draws from a few values; another counts
+    up and repeats only past ``_CHUNK_CELLS`` rows.  The table holds one to
+    all of these columns, in a drawn order, so each kind of column comes
+    first, where its texts open a row, and last, where they end it."""
     rows = draw(rows)
     special = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16])
     pool = np.array(draw(st.lists(special | st.floats(), min_size=1, max_size=40)))
@@ -131,29 +134,35 @@ def tables(draw, rows=st.integers(1, 40) | st.integers(_CHUNK_CELLS - 2, _CHUNK_
     off_stride = rng.normal(size=rows)
     off_stride[off] = rng.choice(off_stride[::stride], off.sum())
     labels = np.array(["a", 'q"uote', "c,omma", "", "line\nbreak"])
-    return Dataset(columns={
+    columns = {
         "repeated": repeated,
         "distinct": rng.normal(size=rows),
         "sampled": sampled,
         "off_stride": off_stride,
         "count": rng.integers(-3, 3, rows),
+        "index": np.arange(rows) % (_CHUNK_CELLS + 1),
         "label": labels[rng.integers(0, labels.size, rows)],
-    })
+    }
+    names = draw(st.permutations(list(columns)))[:draw(st.integers(1, len(columns)))]
+    return Dataset(columns={name: columns[name] for name in names})
 
 
 @settings(SETTINGS, max_examples=20)
 @given(tables())
 def test_writers_match_csv_writer_and_json_dumps(dataset):
     names = list(dataset.columns)
+    floats = [col.dtype.kind == "f" for col in dataset.columns.values()]
     rows = list(zip(*(col.tolist() for col in dataset.columns.values())))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(names)
-    writer.writerows([repr(x + 0.0) for x in row[:4]] + [repr(row[4]), row[5]] for row in rows)
+    writer.writerows([repr(x + 0.0) if is_float else x for x, is_float in zip(row, floats)]
+                     for row in rows)
     assert "".join(_csv_chunks(dataset)) == expected.getvalue()
 
     payload = {"columns": names, "rows": [
-        dict(zip(names, [None if math.isnan(x) else x + 0.0 for x in row[:4]] + list(row[4:])))
+        dict(zip(names, [(None if math.isnan(x) else x + 0.0) if is_float else x
+                         for x, is_float in zip(row, floats)]))
         for row in rows
     ]}
     assert "".join(_json_chunks(dataset)) == json.dumps(payload, indent=1) + "\n"
